@@ -1,11 +1,12 @@
-"""Append-only communication ledger and the uplink-overhead gain metric."""
+"""Append-only communication ledger, the uncompressed baseline, and the
+uplink-overhead gain metric."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
 
-from .errors import AirfedError, ConfigurationError
+from .errors import AirfedError
 
 
 @dataclass
@@ -20,9 +21,18 @@ class LedgerEntry:
 @dataclass
 class BudgetLedger:
     entries: list[LedgerEntry] = field(default_factory=list)
-    total_uses: int = 0
-    total_uplink_bits: int = 0
-    total_downlink_bits: int = 0
+
+    @property
+    def total_uses(self) -> int:
+        return sum(e.uplink_uses for e in self.entries)
+
+    @property
+    def total_uplink_bits(self) -> int:
+        return sum(e.uplink_bits for e in self.entries)
+
+    @property
+    def total_downlink_bits(self) -> int:
+        return sum(e.downlink_bits for e in self.entries)
 
     def record(
         self,
@@ -37,15 +47,6 @@ class BudgetLedger:
         self.entries.append(
             LedgerEntry(round_index, scheme, uplink_uses, uplink_bits, downlink_bits)
         )
-        self.total_uses += uplink_uses
-        self.total_uplink_bits += uplink_bits
-        self.total_downlink_bits += downlink_bits
-        self._check()
-
-    def _check(self) -> None:
-        assert self.total_uses == sum(e.uplink_uses for e in self.entries)
-        assert self.total_uplink_bits == sum(e.uplink_bits for e in self.entries)
-        assert self.total_downlink_bits == sum(e.downlink_bits for e in self.entries)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -59,29 +60,16 @@ class BudgetLedger:
                 )
 
 
-def communication_gain(baseline: BudgetLedger, scheme: BudgetLedger) -> float:
-    """Baseline uplink channel uses over the candidate scheme's uses."""
-    rounds_b = [e.round_index for e in baseline.entries]
-    rounds_s = [e.round_index for e in scheme.entries]
-    if rounds_b != rounds_s:
-        raise ConfigurationError("ledgers must cover the same rounds")
-    if scheme.total_uses == 0:
+def baseline_uses(round_indices: list[int], period: int, n_clients: int, dim: int) -> int:
+    """Reference overhead: uncompressed ideal-digital links, K*d symbols on
+    every scheduled aggregation round (those with t % period == 0)."""
+    scheduled = sum(1 for t in round_indices if t % period == 0)
+    return scheduled * n_clients * dim
+
+
+def communication_gain(baseline: int, uses: int) -> float:
+    """Baseline uplink channel uses over the candidate's uses; nan when the
+    candidate used none."""
+    if uses == 0:
         return float("nan")
-    return baseline.total_uses / scheme.total_uses
-
-
-def baseline_ledger(
-    rounds: list[int], n_clients: int, dim: int, downlink_bits: int = 0
-) -> BudgetLedger:
-    """Reference overhead: ideal digital links, no compression (K*d symbols
-    per aggregation round)."""
-    led = BudgetLedger()
-    for t in rounds:
-        led.record(
-            t,
-            "baseline",
-            n_clients * dim,
-            n_clients * dim * 64,
-            downlink_bits,
-        )
-    return led
+    return baseline / uses

@@ -8,12 +8,11 @@ and held constant across the round's channel uses.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemeError
+from .errors import ConfigurationError, ProtocolError, SchemeError
 
 IDEAL_DIGITAL = "ideal-digital"
 OVER_THE_AIR = "over-the-air"
@@ -39,10 +38,6 @@ class ChannelRealization:
             raise ConfigurationError("channel gains must be finite")
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be >= 0")
-
-    @property
-    def n_clients(self) -> int:
-        return self.gains.shape[0]
 
     @property
     def n_antennas(self) -> int:
@@ -99,25 +94,6 @@ def sample_channel(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gains = rng.standard_normal((n_clients, n_antennas))
     return ChannelRealization(gains, noise_std, seed)
-
-
-def ota_superpose(
-    values: dict[int, float],
-    power: PowerAllocation,
-    ch: ChannelRealization,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One channel use: x = sum_k h_k sqrt(p_k) v_k + n."""
-    x = np.zeros(ch.n_antennas)
-    for cid, v in values.items():
-        x += ch.gains[cid] * np.sqrt(power.powers[cid]) * v
-    if ch.noise_std > 0:
-        x += ch.noise_std * rng.standard_normal(ch.n_antennas)
-    return x
-
-
-def beamform_combine(x: np.ndarray, m: Beamformer) -> float:
-    return float(m.weights @ np.asarray(x, dtype=np.float64))
 
 
 def solve_aggregation_weights(
@@ -224,6 +200,19 @@ def omp_recover(
     return x
 
 
+def weighted_mean(vectors: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Size-weighted mean of equal-length vectors, accumulated in list order."""
+    if not vectors:
+        raise ProtocolError("no vectors to aggregate")
+    total = sum(sizes)
+    out = np.zeros(vectors[0].shape)
+    for v, size in zip(vectors, sizes, strict=True):
+        if v.shape != out.shape:
+            raise ConfigurationError("vector lengths differ")
+        out += (size / total) * v
+    return out
+
+
 @dataclass
 class TransmitEntry:
     """One client's contribution to a round's uplink."""
@@ -257,16 +246,11 @@ def transmit_round(
     if not entries:
         raise SchemeError("no payloads to transmit")
     d = entries[0].dense.size
-    total = sum(e.size for e in entries)
-    weights = {e.client_id: e.size / total for e in entries}
-    exact = np.zeros(d)
-    for e in entries:
-        exact += weights[e.client_id] * e.raw
+    sizes = [e.size for e in entries]
+    exact = weighted_mean([e.raw for e in entries], sizes)
 
     if scheme.kind == IDEAL_DIGITAL:
-        agg = np.zeros(d)
-        for e in entries:
-            agg += weights[e.client_id] * e.dense
+        agg = weighted_mean([e.dense for e in entries], sizes)
         uses = sum(e.n_symbols for e in entries)
         bits = sum(e.payload_bits for e in entries)
         return TransmitResult(agg, uses, bits, float(np.linalg.norm(agg - exact)))
@@ -309,23 +293,3 @@ def transmit_round(
     return TransmitResult(
         agg, m_cs, m_cs * DIGITAL_SYMBOL_BITS, float(np.linalg.norm(agg - exact))
     )
-
-
-def channel_to_csv(ch: ChannelRealization, path) -> None:
-    """One row per client: id, h_1..h_N."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"h_{i + 1}" for i in range(ch.n_antennas)])
-        for cid in range(ch.n_clients):
-            writer.writerow([cid] + [f"{g:.17g}" for g in ch.gains[cid]])
-
-
-def channel_from_csv(path, noise_std: float = 0.0, seed: int = 0) -> ChannelRealization:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "id":
-        raise ConfigurationError("channel CSV must start with an id header row")
-    gains = []
-    for row in sorted(rows[1:], key=lambda r: int(r[0])):
-        gains.append([float(v) for v in row[1:]])
-    return ChannelRealization(np.array(gains), noise_std, seed)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import core
-from .budget import BudgetLedger
+from .budget import BudgetLedger, baseline_uses, communication_gain
 from .errors import AirfedError
 from .scenario import Scenario, load_scenario
 
@@ -27,6 +27,10 @@ EXIT_IO = 2
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _fmt_gain(gain: float) -> str:
+    return "undefined" if math.isnan(gain) else _fmt(gain)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,17 +55,8 @@ def _load(path: str, seed_override: int | None) -> Scenario:
     scenario = load_scenario(path)
     if seed_override is not None:
         scenario.seed = seed_override
-        scenario.train_cfg = replace(scenario.train_cfg, seed=seed_override)
         scenario.raw["seed"] = str(seed_override)
     return scenario
-
-
-def baseline_uplink_uses(scenario: Scenario, records: list[core.RoundRecord]) -> int:
-    """Uncompressed ideal-digital reference: K*d symbols on every scheduled
-    aggregation round."""
-    period = scenario.round_cfg.period
-    scheduled = sum(1 for r in records if r.round_index % period == 0)
-    return scheduled * scenario.n_clients * scenario.dim
 
 
 def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
@@ -97,11 +92,13 @@ def write_summary(
     ledger: BudgetLedger,
 ) -> None:
     final_loss = records[-1].global_loss if records else float("nan")
-    base_uses = baseline_uplink_uses(scenario, records)
-    if ledger.total_uses > 0:
-        gain = _fmt(base_uses / ledger.total_uses)
-    else:
-        gain = "undefined"
+    base_uses = baseline_uses(
+        [r.round_index for r in records],
+        scenario.round_cfg.period,
+        scenario.n_clients,
+        scenario.dim,
+    )
+    gain = _fmt_gain(communication_gain(base_uses, ledger.total_uses))
     lines = [
         f"final_loss = {_fmt(final_loss)}",
         f"rounds = {len(records)}",
@@ -151,9 +148,7 @@ def cmd_compare(args) -> int:
                     break
         if first_uses is None:
             first_uses = ledger.total_uses
-        gain = (
-            _fmt(first_uses / ledger.total_uses) if ledger.total_uses else "undefined"
-        )
+        gain = _fmt_gain(communication_gain(first_uses, ledger.total_uses))
         rows.append(
             [
                 sc.round_cfg.scheme.kind,

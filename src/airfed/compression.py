@@ -9,16 +9,14 @@ n * (ceil(log2 d) + bits_per_symbol) + 64 header bits. A dense payload
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 
 HEADER_BITS = 64
 FLOAT_BITS = 64
-_MAGIC = b"AIRF"
 
 SPARSIFIER_NONE = "none"
 SPARSIFIER_THRESHOLD = "threshold"
@@ -48,12 +46,8 @@ class CompressedGradient:
 
     indices: np.ndarray  # sorted unique int64 positions, all < d
     values: np.ndarray  # decoded real values aligned with indices
-    codec_id: str
     d: int
     payload_bits: int
-    scales: tuple[float, ...] = ()
-    symbols: np.ndarray | None = None  # quantizer symbols, aligned with indices
-    dense_support: bool = False  # True when indices are implicit (no sparsifier)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -120,10 +114,6 @@ class CodecSpec:
             parts.append("warmup")
         return "|".join(parts)
 
-    @property
-    def is_noop(self) -> bool:
-        return self.sparsifier == SPARSIFIER_NONE and self.quantizer == QUANTIZER_NONE
-
 
 @dataclass
 class EncoderState:
@@ -137,26 +127,11 @@ class EncoderState:
         return cls(np.zeros(d), np.zeros(d))
 
 
-def _payload_bits(d: int, n_kept: int, quantizer: str, dense_support: bool) -> int:
+def _payload_bits(d: int, n_kept: int, quantizer: str, implicit_indices: bool) -> int:
     sym = _SYMBOL_BITS[quantizer]
-    if dense_support:
+    if implicit_indices:
         return d * sym + HEADER_BITS
     return n_kept * (index_bits(d) + sym) + HEADER_BITS
-
-
-def sparsify_threshold(g: np.ndarray, tau: float) -> CompressedGradient:
-    """Keep exactly the entries with |g_i| > tau, values exact."""
-    if tau < 0:
-        raise ConfigurationError("threshold must be >= 0")
-    g = np.asarray(g, dtype=np.float64)
-    idx = np.flatnonzero(np.abs(g) > tau)
-    return CompressedGradient(
-        indices=idx,
-        values=g[idx],
-        codec_id=f"thr{tau:g}|none",
-        d=g.size,
-        payload_bits=_payload_bits(g.size, idx.size, QUANTIZER_NONE, False),
-    )
 
 
 def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
@@ -169,18 +144,6 @@ def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     # stable order: descending |g|, ascending index on ties
     order = np.lexsort((np.arange(d), -np.abs(g)))
     return np.sort(order[:k])
-
-
-def sparsify_topk(g: np.ndarray, rho: float) -> CompressedGradient:
-    g = np.asarray(g, dtype=np.float64)
-    idx = topk_indices(g, rho)
-    return CompressedGradient(
-        indices=idx,
-        values=g[idx],
-        codec_id=f"topk{rho:g}|none",
-        d=g.size,
-        payload_bits=_payload_bits(g.size, idx.size, QUANTIZER_NONE, False),
-    )
 
 
 def quantize(values: np.ndarray, levels: int) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -261,24 +224,19 @@ def encode(
 
     if spec.sparsifier == SPARSIFIER_THRESHOLD:
         idx = np.flatnonzero(np.abs(v) > spec.threshold)
-        dense_support = False
     elif spec.sparsifier == SPARSIFIER_TOPK:
         rho = spec.keep_fraction
         if spec.warmup is not None:
             rho = spec.warmup[min(epoch, len(spec.warmup) - 1)]
         idx = topk_indices(v, rho)
-        dense_support = False
     else:
         idx = np.arange(d)
-        dense_support = True
 
     kept = v[idx].copy()
     if spec.error_feedback:
         state.momentum[idx] = 0.0
         state.residual[idx] = 0.0
 
-    symbols = None
-    scales: tuple[float, ...] = ()
     if spec.quantizer != QUANTIZER_NONE and kept.size:
         symbols, scales = quantize(kept, _QUANT_LEVELS[spec.quantizer])
         values = dequantize(symbols, scales, spec.quantizer)
@@ -288,151 +246,13 @@ def encode(
     return CompressedGradient(
         indices=idx,
         values=values,
-        codec_id=spec.codec_id,
         d=d,
-        payload_bits=_payload_bits(d, idx.size, spec.quantizer, dense_support),
-        scales=scales,
-        symbols=symbols,
-        dense_support=dense_support,
+        payload_bits=_payload_bits(
+            d, idx.size, spec.quantizer, spec.sparsifier == SPARSIFIER_NONE
+        ),
     )
-
-
-def decode_and_accumulate(
-    payloads: list[CompressedGradient], sizes: list[int]
-) -> np.ndarray:
-    """Size-weighted mean of the decoded dense vectors."""
-    if not payloads:
-        raise ProtocolError("no payloads to accumulate")
-    if len(payloads) != len(sizes):
-        raise ConfigurationError("payloads and sizes must align")
-    codec_ids = {p.codec_id for p in payloads}
-    if len(codec_ids) > 1:
-        raise ProtocolError(f"codec mismatch across clients: {sorted(codec_ids)}")
-    dims = {p.d for p in payloads}
-    if len(dims) > 1:
-        raise ConfigurationError("payload dimensions differ")
-    total = sum(sizes)
-    out = np.zeros(payloads[0].d)
-    for p, s in zip(payloads, sizes):
-        out[p.indices] += (s / total) * p.values
-    return out
 
 
 def compression_ratio(c: CompressedGradient) -> float:
     """Payload bits over the uncompressed full-precision payload bits."""
     return c.payload_bits / (FLOAT_BITS * c.d)
-
-
-def _pack_symbols(symbols: np.ndarray, quantizer: str) -> bytes:
-    if quantizer == QUANTIZER_BINARY:
-        codes = ((symbols + 1) // 2).astype(np.uint8)  # -1 -> 0, +1 -> 1
-        width = 1
-    elif quantizer == QUANTIZER_THREE:
-        codes = (symbols + 1).astype(np.uint8)  # -1,0,+1 -> 0,1,2
-        width = 2
-    else:
-        lut = {-2: 0, -1: 1, 1: 2, 2: 3}
-        codes = np.array([lut[int(s)] for s in symbols], dtype=np.uint8)
-        width = 2
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for c in codes:
-        acc |= int(c) << nbits
-        nbits += width
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def _unpack_symbols(data: bytes, count: int, quantizer: str) -> np.ndarray:
-    width = 1 if quantizer == QUANTIZER_BINARY else 2
-    codes = np.empty(count, dtype=np.uint8)
-    acc = 0
-    nbits = 0
-    pos = 0
-    for i in range(count):
-        while nbits < width:
-            acc |= data[pos] << nbits
-            pos += 1
-            nbits += 8
-        codes[i] = acc & ((1 << width) - 1)
-        acc >>= width
-        nbits -= width
-    if quantizer == QUANTIZER_BINARY:
-        return (2 * codes.astype(np.int8) - 1).astype(np.int8)
-    if quantizer == QUANTIZER_THREE:
-        return (codes.astype(np.int8) - 1).astype(np.int8)
-    lut = np.array([-2, -1, 1, 2], dtype=np.int8)
-    return lut[codes]
-
-
-def to_bytes(c: CompressedGradient) -> bytes:
-    """Canonical little-endian wire layout for golden-file tests."""
-    quantized = c.symbols is not None
-    quantizer = _quantizer_of(c.codec_id)
-    buf = bytearray()
-    buf += _MAGIC + struct.pack("<I", c.d)  # 64-bit header
-    buf += struct.pack("<I", c.indices.size)
-    buf += struct.pack("<BB", int(c.dense_support), int(quantized))
-    cid = c.codec_id.encode()
-    buf += struct.pack("<H", len(cid)) + cid
-    if not c.dense_support:
-        buf += c.indices.astype("<u4").tobytes()
-    buf += struct.pack("<B", len(c.scales))
-    for s in c.scales:
-        buf += struct.pack("<d", s)
-    if quantized:
-        buf += _pack_symbols(c.symbols, quantizer)
-    else:
-        buf += c.values.astype("<f8").tobytes()
-    return bytes(buf)
-
-
-def _quantizer_of(codec_id: str) -> str:
-    for q in (QUANTIZER_BINARY, QUANTIZER_THREE, QUANTIZER_FOUR):
-        if q in codec_id.split("|"):
-            return q
-    return QUANTIZER_NONE
-
-
-def from_bytes(data: bytes) -> CompressedGradient:
-    if data[:4] != _MAGIC:
-        raise ConfigurationError("bad payload magic")
-    d = struct.unpack_from("<I", data, 4)[0]
-    count = struct.unpack_from("<I", data, 8)[0]
-    dense_support, quantized = struct.unpack_from("<BB", data, 12)
-    (cid_len,) = struct.unpack_from("<H", data, 14)
-    pos = 16
-    codec_id = data[pos : pos + cid_len].decode()
-    pos += cid_len
-    if dense_support:
-        indices = np.arange(d, dtype=np.int64)
-    else:
-        indices = np.frombuffer(data, dtype="<u4", count=count, offset=pos).astype(np.int64)
-        pos += 4 * count
-    (n_scales,) = struct.unpack_from("<B", data, pos)
-    pos += 1
-    scales = tuple(struct.unpack_from(f"<{n_scales}d", data, pos)) if n_scales else ()
-    pos += 8 * n_scales
-    quantizer = _quantizer_of(codec_id)
-    if quantized:
-        symbols = _unpack_symbols(data[pos:], count, quantizer)
-        values = dequantize(symbols, scales, quantizer)
-    else:
-        symbols = None
-        values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
-    return CompressedGradient(
-        indices=indices,
-        values=values,
-        codec_id=codec_id,
-        d=d,
-        payload_bits=_payload_bits(d, count, quantizer, bool(dense_support)),
-        scales=scales,
-        symbols=symbols,
-        dense_support=bool(dense_support),
-    )

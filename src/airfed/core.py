@@ -14,7 +14,7 @@ from . import channel as ch_mod
 from . import compression as comp_mod
 from . import models
 from .budget import BudgetLedger
-from .errors import ConfigurationError, ProtocolError, SchemeError
+from .errors import ConfigurationError, SchemeError
 
 PAYLOAD_WEIGHTS = "weights"
 PAYLOAD_GRADIENTS = "gradients"
@@ -72,36 +72,17 @@ class RoundConfig:
 
 @dataclass
 class RoundRecord:
+    """Outcome of one round; a round without an uplink keeps the zero defaults."""
+
     round_index: int
-    global_loss: float
-    aggregation_error: float
-    participants: list[int]
-    upload_bits: dict[int, int]
-    uplink_uses: int
-    uplink_bits: int
-    downlink_bits: int
+    scheme: str  # transport the uplink used; the configured one if nothing was sent
+    global_loss: float = math.nan
+    aggregation_error: float = 0.0
+    participants: list[int] = field(default_factory=list)
+    uplink_uses: int = 0
+    uplink_bits: int = 0
+    downlink_bits: int = 0
     events: list[str] = field(default_factory=list)
-
-
-def aggregate_weights(locals_: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Size-weighted average of local parameter vectors, in list order."""
-    if not locals_:
-        raise ProtocolError("no uploads arrived")
-    total = sum(size for _, size in locals_)
-    out = np.zeros_like(locals_[0][0])
-    for w, size in locals_:
-        if w.shape != out.shape:
-            raise ConfigurationError("parameter lengths differ")
-        out += (size / total) * w
-    return out
-
-
-def aggregate_gradients(
-    w_prev: np.ndarray, grads: list[tuple[np.ndarray, int]], step_size: float
-) -> np.ndarray:
-    """Gradient-descent form of the aggregation identity:
-    w_prev - step_size * size-weighted mean gradient."""
-    return w_prev - step_size * aggregate_weights(grads)
 
 
 def select_participants(
@@ -177,6 +158,20 @@ class RngStreams:
         )
 
 
+def _finish(
+    rec: RoundRecord,
+    server: ServerState,
+    clients: list[ClientState],
+    model_spec: models.ModelSpec,
+) -> RoundRecord:
+    """Close the round: advance the server clock and evaluate the global loss."""
+    server.round_index = rec.round_index
+    rec.global_loss = models.global_loss(
+        model_spec, server.params, [c.dataset for c in clients]
+    )
+    return rec
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
@@ -191,8 +186,7 @@ def run_round(
 ) -> RoundRecord:
     """Execute one federated round; mutates server and client state."""
     t = server.round_index + 1
-    events: list[str] = []
-    datasets = [c.dataset for c in clients]
+    rec = RoundRecord(round_index=t, scheme=cfg.scheme.kind)
 
     if t % cfg.period != 0:
         # off-schedule round: local progress only, no uplink
@@ -200,17 +194,7 @@ def run_round(
             c.local_params = models.sgd_local_update(
                 model_spec, c.local_params, c.dataset, train_cfg, client_rngs[c.id]
             )
-        server.round_index = t
-        return RoundRecord(
-            round_index=t,
-            global_loss=models.global_loss(model_spec, server.params, datasets),
-            aggregation_error=0.0,
-            participants=[],
-            upload_bits={},
-            uplink_uses=0,
-            uplink_bits=0,
-            downlink_bits=0,
-        )
+        return _finish(rec, server, clients, model_spec)
 
     need_channel = cfg.scheme.analog or cfg.selection == SELECT_CHANNEL
     realization = None
@@ -251,19 +235,8 @@ def run_round(
     delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
     survivors = apply_deadline(delays, cfg.deadline)
     if not survivors:
-        events.append("protocol-error: all clients missed the deadline")
-        server.round_index = t
-        return RoundRecord(
-            round_index=t,
-            global_loss=models.global_loss(model_spec, server.params, datasets),
-            aggregation_error=0.0,
-            participants=[],
-            upload_bits={},
-            uplink_uses=0,
-            uplink_bits=0,
-            downlink_bits=0,
-            events=events,
-        )
+        rec.events.append("protocol-error: all clients missed the deadline")
+        return _finish(rec, server, clients, model_spec)
 
     scheme = cfg.scheme
     beamformer = None
@@ -277,12 +250,11 @@ def run_round(
                 realization, targets, power_cap
             )
         except SchemeError:
-            events.append(
+            rec.events.append(
                 "scheme-error: aggregation constraints unsatisfiable, "
                 "falling back to ideal-digital"
             )
             scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
-            transmitters = survivors
 
     entries = [
         ch_mod.TransmitEntry(
@@ -304,24 +276,18 @@ def run_round(
         server.params = server.params - train_cfg.step_size * result.aggregated
     else:
         server.params = result.aggregated
-    server.round_index = t
 
     # broadcast: every client restarts from the new global parameters
     for c in clients:
         c.local_params = server.params.copy()
-    downlink = server.params.size * DOWNLINK_BITS_PER_ENTRY
 
-    return RoundRecord(
-        round_index=t,
-        global_loss=models.global_loss(model_spec, server.params, datasets),
-        aggregation_error=result.aggregation_error,
-        participants=transmitters,
-        upload_bits={cid: payloads[cid].payload_bits for cid in transmitters},
-        uplink_uses=result.channel_uses,
-        uplink_bits=result.bits_equivalent,
-        downlink_bits=downlink,
-        events=events,
-    )
+    rec.scheme = scheme.kind
+    rec.aggregation_error = result.aggregation_error
+    rec.participants = transmitters
+    rec.uplink_uses = result.channel_uses
+    rec.uplink_bits = result.bits_equivalent
+    rec.downlink_bits = server.params.size * DOWNLINK_BITS_PER_ENTRY
+    return _finish(rec, server, clients, model_spec)
 
 
 def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
@@ -362,7 +328,7 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
         records.append(rec)
         ledger.record(
             rec.round_index,
-            scenario.round_cfg.scheme.kind,
+            rec.scheme,
             rec.uplink_uses,
             rec.uplink_bits,
             rec.downlink_bits,

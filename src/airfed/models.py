@@ -95,7 +95,6 @@ class TrainConfig:
     step_size: float
     batch_size: int | str = "full"  # "full" or a positive int
     local_steps: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.step_size) or self.step_size < 0:

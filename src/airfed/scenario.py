@@ -198,7 +198,6 @@ def parse_scenario(text: str) -> Scenario:
         step_size=mu,
         batch_size=batch,
         local_steps=_as_int(kv, "local_steps", lo=1),
-        seed=seed,
     )
 
     sparsifier = _as_choice(

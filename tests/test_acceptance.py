@@ -11,7 +11,7 @@ import pytest
 from airfed import channel as ch
 from airfed import cli, core, models
 from airfed import compression as C
-from airfed.budget import BudgetLedger, baseline_ledger, communication_gain
+from airfed.budget import BudgetLedger, baseline_uses, communication_gain
 from airfed.scenario import parse_scenario
 
 
@@ -71,7 +71,7 @@ def test_criterion_2_monotonicity_suite():
         if np.linalg.norm(g) < 1e-8:
             break
         locals_ = [(w - mu * models.gradient(spec, w, d), d.size) for d in datasets]
-        w_new = core.aggregate_weights(locals_)
+        w_new = ch.weighted_mean([wk for wk, _ in locals_], [n for _, n in locals_])
         if models.global_loss(spec, w_new, datasets) >= models.global_loss(
             spec, w, datasets
         ):
@@ -162,18 +162,24 @@ def test_criterion_5_communication_gain():
     details = []
     for K in (5, 10, 20):
         round_ids = list(range(1, rounds + 1))
-        base = baseline_ledger(round_ids, K, d)
+        base = baseline_uses(round_ids, 1, K, d)
         ota = BudgetLedger()
         cs = BudgetLedger()
         for t in round_ids:
             ota.record(t, "over-the-air", d, d * 64, 0)
             cs.record(t, "cs-over-the-air", m_cs, m_cs * 64, 0)
-        gain_ota = communication_gain(base, ota)
-        gain_cs = communication_gain(base, cs)
-        ok = ok and gain_ota == K and gain_cs == K * d / m_cs
+        gain_ota = communication_gain(base, ota.total_uses)
+        gain_cs = communication_gain(base, cs.total_uses)
+        ok = (
+            ok
+            and gain_ota == K
+            and gain_cs == K * d / m_cs
+            and communication_gain(base, base) == 1.0
+            and np.isnan(communication_gain(base, 0))
+        )
         details.append(f"K={K}: {gain_ota:g}/{gain_cs:g}")
     report(
-        "criterion 5: communication gains K and K*d/m_cs (accounting identity)",
+        "criterion 5: communication gains K, K*d/m_cs, 1 and nan (accounting identity)",
         ok,
         "; ".join(details),
     )
@@ -197,9 +203,11 @@ def test_criterion_5b_gains_from_actual_runs():
             f"measurements = {m_cs}\nsparsifier = topk\nrho = 0.01\n"
         )
     )
+    base = led_base.total_uses
     ok = (
-        communication_gain(led_base, led_ota) == K
-        and communication_gain(led_base, led_cs) == K * d / m_cs
+        base == baseline_uses([1, 2], 1, K, d)
+        and communication_gain(base, led_ota.total_uses) == K
+        and communication_gain(base, led_cs.total_uses) == K * d / m_cs
     )
     report("criterion 5 (runs): gains from paired simulator runs", ok)
 

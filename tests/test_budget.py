@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from airfed.budget import BudgetLedger, baseline_ledger, communication_gain
-from airfed.errors import AirfedError, ConfigurationError
+from airfed import cli
+from airfed.budget import BudgetLedger, baseline_uses, communication_gain
+from airfed.errors import AirfedError
 
 
 class TestLedger:
@@ -45,47 +46,46 @@ class TestLedger:
         assert lines[1] == "1,over-the-air,100,6400,640"
 
 
+def ledger_of(scheme, uses_per_round, rounds):
+    led = BudgetLedger()
+    for t in rounds:
+        led.record(t, scheme, uses_per_round, uses_per_round * 64, 0)
+    return led
+
+
 class TestCommunicationGain:
     def test_over_the_air_gain_is_client_count(self):
         K, d, T = 20, 1000, 7
         rounds = list(range(1, T + 1))
-        base = baseline_ledger(rounds, K, d)
-        ota = BudgetLedger()
-        for t in rounds:
-            ota.record(t, "over-the-air", d, d * 64, 0)
-        assert communication_gain(base, ota) == K
+        ota = ledger_of("over-the-air", d, rounds)
+        assert communication_gain(baseline_uses(rounds, 1, K, d), ota.total_uses) == K
 
     def test_cs_gain(self):
         K, d, m_cs = 20, 1000, 10
         rounds = [1, 2, 3]
-        base = baseline_ledger(rounds, K, d)
-        cs = BudgetLedger()
-        for t in rounds:
-            cs.record(t, "cs-over-the-air", m_cs, m_cs * 64, 0)
-        assert communication_gain(base, cs) == K * d / m_cs
+        cs = ledger_of("cs-over-the-air", m_cs, rounds)
+        base = baseline_uses(rounds, 1, K, d)
+        assert communication_gain(base, cs.total_uses) == K * d / m_cs
 
     def test_identity_gain(self):
-        base = baseline_ledger([1, 2], 5, 100)
+        base = baseline_uses([1, 2], 1, 5, 100)
         assert communication_gain(base, base) == 1.0
 
     def test_gain_invariant_in_rounds(self):
         K, d = 6, 50
         for T in (1, 4, 16):
             rounds = list(range(1, T + 1))
-            base = baseline_ledger(rounds, K, d)
-            ota = BudgetLedger()
-            for t in rounds:
-                ota.record(t, "over-the-air", d, d * 64, 0)
-            assert communication_gain(base, ota) == K
+            ota = ledger_of("over-the-air", d, rounds)
+            assert communication_gain(baseline_uses(rounds, 1, K, d), ota.total_uses) == K
 
     def test_zero_scheme_total_undefined(self):
-        base = baseline_ledger([1], 2, 10)
-        empty = BudgetLedger()
-        empty.record(1, "x", 0, 0, 0)
-        assert math.isnan(communication_gain(base, empty))
+        base = baseline_uses([1], 1, 2, 10)
+        empty = ledger_of("x", 0, [1])
+        assert math.isnan(communication_gain(base, empty.total_uses))
 
-    def test_mismatched_rounds_rejected(self):
-        base = baseline_ledger([1, 2], 2, 10)
-        other = baseline_ledger([1], 2, 10)
-        with pytest.raises(ConfigurationError):
-            communication_gain(base, other)
+    def test_mismatched_rounds_rejected(self, tmp_path):
+        # gains compare runs over the same rounds: `compare` refuses others
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("rounds = 2\nfeatures = 3\n")
+        b.write_text("rounds = 1\nfeatures = 3\n")
+        assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path), "--quiet"]) == 1

@@ -1,10 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfed import channel as ch
 from airfed.errors import ConfigurationError, SchemeError
+
+DIGITAL = ch.TransportScheme(ch.IDEAL_DIGITAL)
+OTA = ch.TransportScheme(ch.OVER_THE_AIR)
 
 
 def make_entries(vectors, sizes, sparsity=None):
@@ -20,6 +26,19 @@ def make_entries(vectors, sizes, sparsity=None):
         )
         for k, (v, s) in enumerate(zip(vectors, sizes))
     ]
+
+
+def superpose(values, gains, weights, sigma=0.0, rng=None):
+    """Over-the-air output for client k sending values[k] at unit power."""
+    r = ch.ChannelRealization(np.array(gains, dtype=float), sigma)
+    p = ch.PowerAllocation({k: 1.0 for k in range(len(values))}, cap=1.0)
+    m = ch.Beamformer(np.array(weights, dtype=float))
+    vectors = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    res = ch.transmit_round(
+        make_entries(vectors, [1] * len(vectors)), OTA, r, p, m,
+        rng or np.random.default_rng(0),
+    )
+    return res.aggregated
 
 
 class TestSampleChannel:
@@ -39,42 +58,36 @@ class TestSampleChannel:
 
 class TestOtaSuperpose:
     def test_single_client_identity_channel(self):
-        r = ch.ChannelRealization(np.array([[1.0]]), 0.0)
-        p = ch.PowerAllocation({0: 1.0}, cap=1.0)
-        x = ch.ota_superpose({0: 0.5}, p, r, np.random.default_rng(0))
-        np.testing.assert_allclose(x, [0.5])
+        np.testing.assert_allclose(superpose([0.5], [[1.0]], [1.0]), [0.5])
 
     def test_orthogonal_channels(self):
-        r = ch.ChannelRealization(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.0)
-        p = ch.PowerAllocation({0: 1.0, 1: 1.0}, cap=1.0)
-        x = ch.ota_superpose({0: 2.0, 1: -3.0}, p, r, np.random.default_rng(0))
-        np.testing.assert_allclose(x, [2.0, -3.0])
+        # a unit beamformer reads one antenna: each carries one client alone
+        gains = [[1.0, 0.0], [0.0, 1.0]]
+        antennas = [superpose([2.0, -3.0], gains, e)[0] for e in np.eye(2)]
+        np.testing.assert_allclose(antennas, [2.0, -3.0])
 
     def test_noise_mean_converges(self):
         sigma = 0.3
-        r = ch.ChannelRealization(np.array([[1.0]]), sigma)
-        p = ch.PowerAllocation({0: 1.0}, cap=1.0)
-        rng = np.random.default_rng(2)
-        trials = 10_000
-        xs = np.array([ch.ota_superpose({0: 1.0}, p, r, rng)[0] for _ in range(trials)])
-        assert abs(xs.mean() - 1.0) < 3 * sigma / 100
+        samples = 10_000
+        x = superpose(
+            [np.ones(samples)], [[1.0]], [1.0], sigma, np.random.default_rng(2)
+        )
+        assert abs(x.mean() - 1.0) < 3 * sigma / 100
 
 
 class TestBeamformCombine:
     def test_averaging_beamformer(self):
-        m = ch.Beamformer(np.array([0.5, 0.5]))
-        assert ch.beamform_combine(np.array([3.0, 5.0]), m) == pytest.approx(4.0)
+        assert superpose([1.0], [[3.0, 5.0]], [0.5, 0.5])[0] == pytest.approx(4.0)
 
     def test_unit_vector_selects_entry(self):
-        m = ch.Beamformer(np.array([1.0, 0.0, 0.0]))
-        assert ch.beamform_combine(np.array([7.0, 1.0, 2.0]), m) == 7.0
+        assert superpose([1.0], [[7.0, 1.0, 2.0]], [1.0, 0.0, 0.0])[0] == 7.0
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        m = ch.Beamformer(rng.standard_normal(5))
+        m = rng.standard_normal(5)
         x, xp = rng.standard_normal(5), rng.standard_normal(5)
-        assert ch.beamform_combine(x + xp, m) == pytest.approx(
-            ch.beamform_combine(x, m) + ch.beamform_combine(xp, m)
+        assert superpose([1.0, 1.0], [x, xp], m)[0] == pytest.approx(
+            superpose([1.0], [x], m)[0] + superpose([1.0], [xp], m)[0]
         )
 
 
@@ -254,10 +267,37 @@ class TestOmp:
         assert successes > 95
 
 
-class TestChannelCsv:
-    def test_round_trip(self, tmp_path):
-        r = ch.sample_channel(3, 4, 0.2, seed=9)
-        path = tmp_path / "channel.csv"
-        ch.channel_to_csv(r, path)
-        back = ch.channel_from_csv(path, noise_std=0.2, seed=9)
-        np.testing.assert_allclose(back.gains, r.gains)
+class TestMetamorphic:
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_digital_aggregate_ignores_order_and_client_ids(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=6))
+        K = len(sizes)
+        d = data.draw(st.integers(1, 8))
+        order = data.draw(st.permutations(range(K)))
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=K, max_size=K, unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        entries = make_entries([rng.standard_normal(d) for _ in sizes], sizes)
+        base = ch.transmit_round(entries, DIGITAL).aggregated
+        permuted = [entries[i] for i in order]
+        relabelled = [dataclasses.replace(e, client_id=c) for e, c in zip(entries, ids)]
+        for variant in (permuted, relabelled):
+            out = ch.transmit_round(variant, DIGITAL).aggregated
+            np.testing.assert_allclose(out, base, rtol=0, atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_noiseless_over_the_air_equals_digital(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=5))
+        K = len(sizes)
+        N = data.draw(st.integers(K, K + 4))
+        d = data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
+        targets = {k: sizes[k] / sum(sizes) for k in range(K)}
+        m, p, selected, _ = ch.solve_aggregation_weights(r, targets, 1e6)
+        vectors = [rng.standard_normal(d) for _ in range(K)]
+        entries = [e for e in make_entries(vectors, sizes) if e.client_id in selected]
+        ota = ch.transmit_round(entries, OTA, r, p, m, np.random.default_rng(0))
+        digital = ch.transmit_round(entries, DIGITAL)
+        np.testing.assert_allclose(ota.aggregated, digital.aggregated, rtol=0, atol=1e-8)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from airfed import channel as ch
 from airfed import compression as C
-from airfed.errors import ConfigurationError, ProtocolError
 
 
 def brute_force_best_subset_energy(g, k):
@@ -26,21 +26,29 @@ finite_vectors = hnp.arrays(
 )
 
 
+def threshold(g, tau):
+    return C.encode(g, C.CodecSpec(sparsifier=C.SPARSIFIER_THRESHOLD, threshold=tau))
+
+
+def topk(g, rho):
+    return C.encode(g, C.CodecSpec(sparsifier=C.SPARSIFIER_TOPK, keep_fraction=rho))
+
+
 class TestSparsifyThreshold:
     def test_keeps_entries_above_tau(self):
-        c = C.sparsify_threshold(np.array([0.5, -2.0, 0.1]), 1.0)
+        c = threshold(np.array([0.5, -2.0, 0.1]), 1.0)
         np.testing.assert_array_equal(c.indices, [1])
         np.testing.assert_array_equal(c.values, [-2.0])
 
     def test_tau_zero_keeps_all_nonzero(self):
         g = np.array([0.0, 1.0, -3.0, 0.0, 0.25])
-        c = C.sparsify_threshold(g, 0.0)
+        c = threshold(g, 0.0)
         np.testing.assert_array_equal(c.indices, [1, 2, 4])
 
     @given(finite_vectors, st.floats(0, 10))
     @settings(max_examples=50, deadline=None)
     def test_partition_identity(self, g, tau):
-        c = C.sparsify_threshold(g, tau)
+        c = threshold(g, tau)
         kept = c.decode()
         dropped = g - kept
         np.testing.assert_array_equal(kept + dropped, g)
@@ -50,18 +58,18 @@ class TestSparsifyThreshold:
 
 class TestSparsifyTopk:
     def test_example(self):
-        c = C.sparsify_topk(np.array([0.1, -5.0, 0.2, 3.0]), 0.5)
+        c = topk(np.array([0.1, -5.0, 0.2, 3.0]), 0.5)
         np.testing.assert_array_equal(c.indices, [1, 3])
         np.testing.assert_array_equal(c.values, [-5.0, 3.0])
 
     def test_rho_one_keeps_everything(self):
         g = np.arange(6, dtype=float)
-        c = C.sparsify_topk(g, 1.0)
+        c = topk(g, 1.0)
         np.testing.assert_array_equal(c.indices, np.arange(6))
 
     def test_ties_break_to_lower_index(self):
         g = np.array([2.0, -2.0, 2.0, 1.0])
-        c = C.sparsify_topk(g, 0.5)
+        c = topk(g, 0.5)
         np.testing.assert_array_equal(c.indices, [0, 1])
 
     def test_optimal_subset_brute_force(self):
@@ -200,19 +208,26 @@ class TestEncode:
         )
         a = C.encode(g.copy(), spec)
         b = C.encode(g.copy(), spec)
-        assert C.to_bytes(a) == C.to_bytes(b)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.payload_bits == b.payload_bits
+
+
+def accumulate(payloads, sizes):
+    """The server's digital aggregate of decoded payloads."""
+    return ch.weighted_mean([p.decode() for p in payloads], sizes)
 
 
 class TestDecodeAndAccumulate:
     def test_single_noop_payload(self):
         g = np.random.default_rng(6).standard_normal(12)
         c = C.encode(g, C.CodecSpec())
-        np.testing.assert_array_equal(C.decode_and_accumulate([c], [5]), g)
+        np.testing.assert_array_equal(accumulate([c], [5]), g)
 
     def test_disjoint_supports_halved(self):
-        a = C.sparsify_threshold(np.array([2.0, 0.0, 0.0, 0.0]), 0.0)
-        b = C.sparsify_threshold(np.array([0.0, 0.0, 4.0, 0.0]), 0.0)
-        out = C.decode_and_accumulate([a, b], [1, 1])
+        a = threshold(np.array([2.0, 0.0, 0.0, 0.0]), 0.0)
+        b = threshold(np.array([0.0, 0.0, 4.0, 0.0]), 0.0)
+        out = accumulate([a, b], [1, 1])
         np.testing.assert_array_equal(out, [1.0, 0.0, 2.0, 0.0])
 
     def test_matches_uncompressed_weighted_mean(self):
@@ -220,15 +235,9 @@ class TestDecodeAndAccumulate:
         gs = [rng.standard_normal(9) for _ in range(3)]
         sizes = [1, 2, 5]
         payloads = [C.encode(g, C.CodecSpec()) for g in gs]
-        out = C.decode_and_accumulate(payloads, sizes)
+        out = accumulate(payloads, sizes)
         expected = sum(s * g for s, g in zip(sizes, gs)) / sum(sizes)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_codec_mismatch_rejected(self):
-        a = C.encode(np.ones(4), C.CodecSpec())
-        b = C.encode(np.ones(4), C.CodecSpec(quantizer=C.QUANTIZER_BINARY))
-        with pytest.raises(ProtocolError):
-            C.decode_and_accumulate([a, b], [1, 1])
 
 
 class TestCompressionRatio:
@@ -259,36 +268,3 @@ class TestCompressionRatio:
             assert ratio >= prev
             prev = ratio
 
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            C.CodecSpec(),
-            C.CodecSpec(sparsifier=C.SPARSIFIER_TOPK, keep_fraction=0.3),
-            C.CodecSpec(
-                sparsifier=C.SPARSIFIER_TOPK,
-                keep_fraction=0.3,
-                quantizer=C.QUANTIZER_BINARY,
-            ),
-            C.CodecSpec(sparsifier=C.SPARSIFIER_THRESHOLD, threshold=0.5,
-                        quantizer=C.QUANTIZER_THREE),
-            C.CodecSpec(quantizer=C.QUANTIZER_FOUR),
-        ],
-    )
-    def test_round_trip(self, spec):
-        g = np.random.default_rng(10).standard_normal(41)
-        c = C.encode(g, spec)
-        back = C.from_bytes(C.to_bytes(c))
-        np.testing.assert_array_equal(back.indices, c.indices)
-        np.testing.assert_allclose(back.values, c.values, rtol=1e-15)
-        assert back.codec_id == c.codec_id
-        assert back.payload_bits == c.payload_bits
-        assert C.to_bytes(back) == C.to_bytes(c)
-
-    def test_golden_layout(self):
-        c = C.sparsify_threshold(np.array([0.0, 1.5, 0.0, -2.5]), 1.0)
-        blob = C.to_bytes(c)
-        assert blob[:4] == b"AIRF"
-        assert int.from_bytes(blob[4:8], "little") == 4  # d
-        assert int.from_bytes(blob[8:12], "little") == 2  # count

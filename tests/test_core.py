@@ -24,22 +24,42 @@ def centralized_gd(spec, datasets, mu, rounds, w0=None):
     return trajectory
 
 
+def one_round(spec, datasets, w, mu, payload_mode):
+    """Server parameters after one full-participation round of run_round from w."""
+    clients = [
+        core.ClientState(k, d, w.copy(), C.EncoderState.zeros(spec.dim))
+        for k, d in enumerate(datasets)
+    ]
+    streams = core.RngStreams(0)
+    server = core.ServerState(w.copy())
+    core.run_round(
+        server,
+        clients,
+        spec,
+        models.TrainConfig(step_size=mu, local_steps=1),
+        core.RoundConfig(payload_mode=payload_mode),
+        streams,
+        {c.id: streams.client(c.id) for c in clients},
+    )
+    return server.params
+
+
 class TestAggregateWeights:
     def test_plain_average(self):
-        out = core.aggregate_weights([(np.array([1.0, 3.0]), 5), (np.array([3.0, 1.0]), 5)])
+        out = ch.weighted_mean([np.array([1.0, 3.0]), np.array([3.0, 1.0])], [5, 5])
         np.testing.assert_array_equal(out, [2.0, 2.0])
 
     def test_weighted_average(self):
-        out = core.aggregate_weights([(np.array([0.0]), 1), (np.array([4.0]), 3)])
+        out = ch.weighted_mean([np.array([0.0]), np.array([4.0])], [1, 3])
         np.testing.assert_array_equal(out, [3.0])
 
     def test_single_client_identity(self):
         w = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(core.aggregate_weights([(w, 7)]), w)
+        np.testing.assert_array_equal(ch.weighted_mean([w], [7]), w)
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
-            core.aggregate_weights([])
+            ch.weighted_mean([], [])
 
     def test_drop_equals_zero_size_renormalized(self):
         # dropping a client is the same as |D_k| = 0 plus renormalization
@@ -47,20 +67,21 @@ class TestAggregateWeights:
         ws = [rng.standard_normal(3) for _ in range(4)]
         sizes = [3, 1, 4, 2]
         for drop in range(4):
-            kept = [(w, s) for i, (w, s) in enumerate(zip(ws, sizes)) if i != drop]
+            kept = [i for i in range(4) if i != drop]
             np.testing.assert_allclose(
-                core.aggregate_weights(kept),
-                core.aggregate_weights(
-                    [(w, 0 if i == drop else s) for i, (w, s) in enumerate(zip(ws, sizes))]
-                ),
+                ch.weighted_mean([ws[i] for i in kept], [sizes[i] for i in kept]),
+                ch.weighted_mean(ws, [0 if i == drop else s for i, s in enumerate(sizes)]),
                 rtol=1e-12,
             )
 
 
 class TestAggregateGradients:
     def test_zero_gradients_unchanged(self):
+        # zero features and labels: every local gradient is zero at any w
+        spec = models.ModelSpec(models.LINEAR, 2)
+        data = models.Dataset(np.zeros((3, 2)), np.zeros(3))
         w = np.array([1.0, 2.0])
-        out = core.aggregate_gradients(w, [(np.zeros(2), 3)], 0.1)
+        out = one_round(spec, [data], w, 0.1, core.PAYLOAD_GRADIENTS)
         np.testing.assert_array_equal(out, w)
 
     def test_single_client_is_local_update(self):
@@ -69,8 +90,7 @@ class TestAggregateGradients:
         data = models.Dataset(rng.standard_normal((8, 4)), (rng.random(8) < 0.5).astype(float))
         w = rng.standard_normal(4)
         mu = 0.2
-        g = models.gradient(spec, w, data)
-        out = core.aggregate_gradients(w, [(g, data.size)], mu)
+        out = one_round(spec, [data], w, mu, core.PAYLOAD_GRADIENTS)
         cfg = models.TrainConfig(step_size=mu, local_steps=1)
         expected = models.sgd_local_update(spec, w, data, cfg, rng)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -83,16 +103,11 @@ class TestAggregateGradients:
             for _ in range(2)
         ]
         w = rng.standard_normal(3)
-        mu = 0.1
-        cfg = models.TrainConfig(step_size=mu, local_steps=1)
-        locals_ = [
-            (models.sgd_local_update(spec, w, d, cfg, rng), d.size) for d in datasets
-        ]
-        grads = [(models.gradient(spec, w, d), d.size) for d in datasets]
         np.testing.assert_allclose(
-            core.aggregate_gradients(w, grads, mu),
-            core.aggregate_weights(locals_),
-            rtol=1e-12,
+            one_round(spec, datasets, w, 0.1, core.PAYLOAD_GRADIENTS),
+            one_round(spec, datasets, w, 0.1, core.PAYLOAD_WEIGHTS),
+            rtol=0,
+            atol=1e-12,
         )
 
 
@@ -255,7 +270,7 @@ class TestFig2Properties:
                 # (b) each local full-batch step improves the local loss
                 assert models.local_loss(spec, wk, d) < models.local_loss(spec, w, d)
                 locals_.append((wk, d.size))
-            w_new = core.aggregate_weights(locals_)
+            w_new = ch.weighted_mean([wk for wk, _ in locals_], [n for _, n in locals_])
             # (a) global loss strictly decreases while the gradient is large
             assert models.global_loss(spec, w_new, datasets) < models.global_loss(
                 spec, w, datasets

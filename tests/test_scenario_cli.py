@@ -97,6 +97,36 @@ class TestRunCommand:
         )
         assert float(summary["communication_gain"]) == 5.0
 
+    def test_fallback_rounds_record_ideal_digital(self, tmp_path):
+        # the cap is too tight for any client: every upload falls back to digital
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            BASE
+            + "scheme = over-the-air\npayload = gradients\nantennas = 4\n"
+            + "power_cap = 1e-6\nperiod = 2\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 0
+        with open(out / "budget.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["scheme"] for r in rows] == [
+            "ideal-digital" if int(r["round"]) % 2 == 0 else "over-the-air" for r in rows
+        ]
+
+    def test_period_aware_baseline(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text(BASE.replace("rounds = 6", "rounds = 7") + "period = 3\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 0
+        summary = dict(
+            line.split(" = ") for line in (out / "summary.txt").read_text().splitlines()
+        )
+        with open(out / "budget.csv", newline="") as fh:
+            total = sum(int(r["uplink_uses"]) for r in csv.DictReader(fh))
+        baseline = (7 // 3) * 5 * 8
+        assert int(summary["baseline_uplink_uses"]) == baseline
+        assert float(summary["communication_gain"]) == baseline / total
+
     def test_seed_override_changes_outputs(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text(BASE)
