@@ -175,28 +175,48 @@ def measurement_matrix(d: int, m_cs: int, seed: int) -> np.ndarray:
 def omp_recover(
     A: np.ndarray, y: np.ndarray, sparsity: int, tol: float = 1e-8
 ) -> np.ndarray:
-    """Orthogonal matching pursuit: greedy support growth with least-squares
-    refit, stopping at the sparsity budget or when the residual drops below
-    tol."""
+    """Orthogonal matching pursuit: greedy support growth, stopping at the
+    sparsity budget or when the residual drops below tol.
+
+    Each step extends a thin QR factorisation of the selected columns (one
+    Gram-Schmidt pass plus one re-orthogonalisation) and projects the new
+    direction out of the residual, so the least-squares fit is never redone
+    from scratch; the triangular system is solved once, at the end. A column
+    whose orthogonalised norm is <= 1e-12 of its own lies in the span already
+    chosen: the fit cannot improve, so the search stops there.
+    """
     m, d = A.shape
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
-    An = A / norms
-    x = np.zeros(d)
-    support: list[int] = []
-    residual = y.copy()
     budget = min(sparsity, m, d)
-    for _ in range(budget):
+    Q = np.empty((m, budget))
+    R = np.zeros((budget, budget))
+    support: list[int] = []
+    residual = y.astype(np.float64)
+    for k in range(budget):
         if np.linalg.norm(residual) < tol:
             break
-        scores = np.abs(An.T @ residual)
+        scores = np.abs(A.T @ residual) / norms
         scores[support] = -1.0
         j = int(np.argmax(scores))
+        Qk = Q[:, :k]
+        r = Qk.T @ A[:, j]
+        q = A[:, j] - Qk @ r
+        again = Qk.T @ q
+        q -= Qk @ again
+        r += again
+        r_kk = np.linalg.norm(q)
+        if r_kk <= 1e-12 * norms[j]:
+            break
+        Q[:, k] = q / r_kk
+        R[:k, k] = r
+        R[k, k] = r_kk
         support.append(j)
-        coef, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
-        residual = y - A[:, support] @ coef
-    if support:
-        x[support] = coef
+        residual -= (Q[:, k] @ residual) * Q[:, k]
+    x = np.zeros(d)
+    s = len(support)
+    if s:
+        x[support] = np.linalg.solve(R[:s, :s], Q[:, :s].T @ y)
     return x
 
 
@@ -267,29 +287,20 @@ def transmit_round(
             for e in entries
         ]
     )
-
-    if scheme.kind == OVER_THE_AIR:
-        V = np.stack([e.dense for e in entries])  # (Kc, d)
-        y = coeffs @ V
-        if ch.noise_std > 0:
-            noise = ch.noise_std * rng.standard_normal((d, ch.n_antennas))
-            y = y + noise @ beamformer.weights
-        return TransmitResult(
-            y, d, d * DIGITAL_SYMBOL_BITS, float(np.linalg.norm(y - exact))
-        )
-
-    # cs-over-the-air
-    m_cs = scheme.measurements
-    if m_cs >= d:
-        raise ConfigurationError("measurements must be < d (no compression achieved)")
-    A = measurement_matrix(d, m_cs, ch.seed)
-    P = np.stack([A @ e.dense for e in entries])  # (Kc, m_cs)
-    y = coeffs @ P
+    y = coeffs @ np.stack([e.dense for e in entries])  # superposed payloads
+    if scheme.kind == CS_OVER_THE_AIR:
+        if scheme.measurements >= d:
+            raise ConfigurationError("measurements must be < d (no compression achieved)")
+        A = measurement_matrix(d, scheme.measurements, ch.seed)
+        y = A @ y  # projection is linear: project the sum once, not each payload
+    uses = y.size
     if ch.noise_std > 0:
-        noise = ch.noise_std * rng.standard_normal((m_cs, ch.n_antennas))
+        noise = ch.noise_std * rng.standard_normal((uses, ch.n_antennas))
         y = y + noise @ beamformer.weights
-    budget = sum(e.sparsity for e in entries)
-    agg = omp_recover(A, y, budget)
+    if scheme.kind == CS_OVER_THE_AIR:
+        agg = omp_recover(A, y, sum(e.sparsity for e in entries))
+    else:
+        agg = y
     return TransmitResult(
-        agg, m_cs, m_cs * DIGITAL_SYMBOL_BITS, float(np.linalg.norm(agg - exact))
+        agg, uses, uses * DIGITAL_SYMBOL_BITS, float(np.linalg.norm(agg - exact))
     )

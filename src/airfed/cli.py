@@ -85,6 +85,17 @@ def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
             )
 
 
+def write_events_csv(path: Path, records: list[core.RoundRecord]) -> None:
+    """One row per round event; `kind` is the event text before its first ':'."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "kind", "detail"])
+        for r in records:
+            for event in r.events:
+                kind, _, detail = event.partition(":")
+                writer.writerow([r.round_index, kind, detail.strip()])
+
+
 def write_summary(
     path: Path,
     scenario: Scenario,
@@ -118,6 +129,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_rounds_csv(out / "rounds.csv", records)
     ledger.to_csv(out / "budget.csv")
+    write_events_csv(out / "events.csv", records)
     write_summary(out / "summary.txt", scenario, records, ledger)
     if not args.quiet:
         print((out / "summary.txt").read_text(), end="")

@@ -14,7 +14,7 @@ from . import channel as ch_mod
 from . import compression as comp_mod
 from . import models
 from .budget import BudgetLedger
-from .errors import ConfigurationError, SchemeError
+from .errors import ConfigurationError, ProtocolError, SchemeError
 
 PAYLOAD_WEIGHTS = "weights"
 PAYLOAD_GRADIENTS = "gradients"
@@ -164,11 +164,17 @@ def _finish(
     clients: list[ClientState],
     model_spec: models.ModelSpec,
 ) -> RoundRecord:
-    """Close the round: advance the server clock and evaluate the global loss."""
+    """Close the round: advance the server clock and evaluate the global loss.
+    A non-finite model or loss means training diverged: stop the run."""
     server.round_index = rec.round_index
     rec.global_loss = models.global_loss(
         model_spec, server.params, [c.dataset for c in clients]
     )
+    if not (np.all(np.isfinite(server.params)) and math.isfinite(rec.global_loss)):
+        raise ProtocolError(
+            f"training diverged in round {rec.round_index}: "
+            "non-finite server parameters or global loss"
+        )
     return rec
 
 

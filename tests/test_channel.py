@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,39 @@ class TestTransmitRoundCsOverTheAir:
         assert best[1] == 3
         assert best[2] == pytest.approx(1.5)
 
+    def test_projects_the_superposed_sum(self, monkeypatch):
+        # noiseless: y is the channel-weighted sum of the per-client projections
+        rng = np.random.default_rng(8)
+        d, m_cs, K, N = 40, 12, 4, 6
+        r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0, seed=3)
+        m, p, selected, _ = ch.solve_aggregation_weights(
+            r, {k: 1 / K for k in range(K)}, 1e6
+        )
+        vectors = []
+        for _ in range(K):
+            v = np.zeros(d)
+            v[rng.choice(d, size=3, replace=False)] = rng.standard_normal(3)
+            vectors.append(v)
+        entries = [e for e in make_entries(vectors, [1] * K) if e.client_id in selected]
+        captured = []
+        monkeypatch.setattr(
+            ch, "omp_recover", lambda A, y, sparsity: captured.append(y) or np.zeros(d)
+        )
+        ch.transmit_round(
+            entries, ch.TransportScheme(ch.CS_OVER_THE_AIR, m_cs), r, p, m,
+            np.random.default_rng(0),
+        )
+        A = ch.measurement_matrix(d, m_cs, 3)
+        expected = sum(
+            float(m.weights @ r.gains[e.client_id])
+            * np.sqrt(p.powers[e.client_id])
+            * (A @ e.dense)
+            for e in entries
+        )
+        (y,) = captured
+        assert len(entries) > 1
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12 * np.linalg.norm(y))
+
     def test_measurements_must_compress(self):
         dense = np.zeros(4)
         r = ch.ChannelRealization(np.array([[1.0]]), 0.0)
@@ -247,6 +281,36 @@ class TestTransmitRoundCsOverTheAir:
                 ch.TransportScheme(ch.CS_OVER_THE_AIR, 4),
                 r, p, m, np.random.default_rng(0),
             )
+
+
+def omp_oracle(A, y, sparsity, tol=1e-8):
+    """Reference OMP: refits least squares from scratch on every step."""
+    m, d = A.shape
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0] = 1.0
+    An = A / norms
+    x = np.zeros(d)
+    support = []
+    residual = y.copy()
+    for _ in range(min(sparsity, m, d)):
+        if np.linalg.norm(residual) < tol:
+            break
+        scores = np.abs(An.T @ residual)
+        scores[support] = -1.0
+        support.append(int(np.argmax(scores)))
+        coef, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        residual = y - A[:, support] @ coef
+    if support:
+        x[support] = coef
+    return x
+
+
+def assert_same_support(got, want, atol):
+    """Same coordinates above atol: a column that lstsq weights exactly 0 may
+    get a coefficient of rounding size from another solver."""
+    np.testing.assert_array_equal(
+        np.flatnonzero(np.abs(got) > atol), np.flatnonzero(np.abs(want) > atol)
+    )
 
 
 class TestOmp:
@@ -265,6 +329,67 @@ class TestOmp:
             if np.allclose(x_hat, x, atol=1e-8):
                 successes += 1
         assert successes > 95
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lstsq_oracle(self, data):
+        m = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(m + 1, 80))
+        sparsity = data.draw(st.integers(0, m + 5))
+        nonzeros = data.draw(st.integers(0, min(m, d)))
+        noisy = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = rng.standard_normal((m, d))
+        x = np.zeros(d)
+        x[rng.choice(d, size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        y = A @ x + (0.1 * rng.standard_normal(m) if noisy else 0.0)
+        got = ch.omp_recover(A, y, sparsity)
+        want = omp_oracle(A, y, sparsity)
+        if m == 1:
+            # all columns are parallel, so every score ties and rounding
+            # picks the column; any one of them gives the same fit
+            assert np.count_nonzero(got) == np.count_nonzero(want)
+            assert abs(y - A @ got)[0] == pytest.approx(abs(y - A @ want)[0], abs=1e-9)
+            return
+        atol = 1e-9 * np.max(np.abs(want))
+        assert_same_support(got, want, atol)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize(
+        "case, sparsity",
+        [
+            ("duplicate-column", 6),
+            ("zero-column", 6),
+            ("rank-2", 6),
+            ("zero-y", 6),
+            ("full-rank", 0),
+            ("full-rank", 8),
+            ("full-rank", 12),
+        ],
+    )
+    def test_degenerate_inputs(self, case, sparsity):
+        rng = np.random.default_rng(17)
+        m, d = 8, 12
+        A = rng.standard_normal((m, d))
+        if case == "duplicate-column":
+            A[:, 5] = A[:, 2]
+        elif case == "zero-column":
+            A[:, 4] = 0.0
+        elif case == "rank-2":
+            A = rng.standard_normal((m, 2)) @ rng.standard_normal((2, d))
+        y = np.zeros(m) if case == "zero-y" else rng.standard_normal(m)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = ch.omp_recover(A, y, sparsity)
+        want = omp_oracle(A, y, sparsity)
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(y - A @ got) == pytest.approx(
+            np.linalg.norm(y - A @ want), rel=0, abs=1e-9
+        )
+        if case != "rank-2":
+            # only a rank-deficient A lets the oracle pad its support with
+            # columns that do not improve the fit
+            assert_same_support(got, want, 1e-9 * np.max(np.abs(want)))
 
 
 class TestMetamorphic:

@@ -113,6 +113,36 @@ class TestRunCommand:
             "ideal-digital" if int(r["round"]) % 2 == 0 else "over-the-air" for r in rows
         ]
 
+    def test_events_csv_records_fallbacks(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            BASE
+            + "scheme = over-the-air\npayload = gradients\nantennas = 4\n"
+            + "power_cap = 1e-6\nperiod = 2\n"
+        )
+        for out in ("a", "b"):
+            assert run_cli(["run", str(f), "--out", str(tmp_path / out), "--quiet"]) == 0
+        events = (tmp_path / "a" / "events.csv").read_bytes()
+        assert events == (tmp_path / "b" / "events.csv").read_bytes()
+        with open(tmp_path / "a" / "events.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["round"], r["kind"]) for r in rows] == [
+            ("2", "scheme-error"), ("4", "scheme-error"), ("6", "scheme-error")
+        ]
+        assert all(r["detail"] and not r["detail"].startswith(" ") for r in rows)
+
+    def test_divergence_exits_one_naming_the_round(self, tmp_path, capsys):
+        # at this step size the linear model's loss first overflows in round 82
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 10\n"
+            "clients = 4\nclient_size = 20\nmu = 50\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert "round 82" in capsys.readouterr().err
+
     def test_period_aware_baseline(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text(BASE.replace("rounds = 6", "rounds = 7") + "period = 3\n")
