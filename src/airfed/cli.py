@@ -4,7 +4,7 @@
     airfed compare <file1> <file2> ... [--out DIR] [--seed N] [--quiet]
     airfed validate <scenario-file> [--quiet]
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O error.
+Exit codes: 0 success, 1 usage/config error or a failed run, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import core
 from .budget import BudgetLedger, baseline_uses, communication_gain
-from .errors import AirfedError
+from .errors import AirfedError, ProtocolError
 from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
@@ -122,14 +122,26 @@ def write_summary(
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_run(args) -> int:
-    scenario = _load(args.scenario[0], args.seed)
-    records, ledger = core.run_training(scenario)
-    out = Path(args.out)
+def write_round_files(
+    out: Path, records: list[core.RoundRecord], ledger: BudgetLedger
+) -> None:
+    """rounds.csv, budget.csv and events.csv of the given rounds."""
     out.mkdir(parents=True, exist_ok=True)
     write_rounds_csv(out / "rounds.csv", records)
     ledger.to_csv(out / "budget.csv")
     write_events_csv(out / "events.csv", records)
+
+
+def cmd_run(args) -> int:
+    scenario = _load(args.scenario[0], args.seed)
+    out = Path(args.out)
+    try:
+        records, ledger = core.run_training(scenario)
+    except ProtocolError as exc:
+        # a failed run leaves its finished rounds, but no summary
+        write_round_files(out, exc.records, exc.ledger)
+        raise
+    write_round_files(out, records, ledger)
     write_summary(out / "summary.txt", scenario, records, ledger)
     if not args.quiet:
         print((out / "summary.txt").read_text(), end="")

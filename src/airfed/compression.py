@@ -136,14 +136,26 @@ def _payload_bits(d: int, n_kept: int, quantizer: str, implicit_indices: bool) -
 
 def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     """Indices of the k = max(1, ceil(rho*d)) largest-|g| entries, ties to
-    the lower index, returned sorted ascending."""
+    the lower index, returned sorted ascending. NaN ranks below every number.
+
+    Linear time: a partition finds the k-th key, every entry strictly above
+    it is kept, and the lowest-index entries equal to it fill the rest."""
     if not (0 < rho <= 1):
         raise ConfigurationError("keep fraction must be in (0, 1]")
     d = g.size
     k = max(1, math.ceil(rho * d))
-    # stable order: descending |g|, ascending index on ties
-    order = np.lexsort((np.arange(d), -np.abs(g)))
-    return np.sort(order[:k])
+    if k >= d:
+        return np.arange(d)
+    key = -np.abs(g)  # ascending key; np.partition puts NaN last
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):  # fewer than k numbers: all of them, then NaNs
+        tied = np.isnan(key)
+        keep = ~tied
+    else:
+        tied = key == kth
+        keep = key < kth
+    keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def quantize(values: np.ndarray, levels: int) -> tuple[np.ndarray, tuple[float, ...]]:

@@ -161,15 +161,16 @@ class RngStreams:
 def _finish(
     rec: RoundRecord,
     server: ServerState,
-    clients: list[ClientState],
+    population: models.Dataset,
     model_spec: models.ModelSpec,
 ) -> RoundRecord:
-    """Close the round: advance the server clock and evaluate the global loss.
-    A non-finite model or loss means training diverged: stop the run."""
+    """Close the round: advance the server clock and evaluate the global loss
+    once over the pooled population. A non-finite model or loss means
+    training diverged: stop the run."""
     server.round_index = rec.round_index
-    rec.global_loss = models.global_loss(
-        model_spec, server.params, [c.dataset for c in clients]
-    )
+    # an overflow here is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec.global_loss = models.global_loss(model_spec, server.params, [population])
     if not (np.all(np.isfinite(server.params)) and math.isfinite(rec.global_loss)):
         raise ProtocolError(
             f"training diverged in round {rec.round_index}: "
@@ -181,6 +182,7 @@ def _finish(
 def run_round(
     server: ServerState,
     clients: list[ClientState],
+    population: models.Dataset,
     model_spec: models.ModelSpec,
     train_cfg: models.TrainConfig,
     cfg: RoundConfig,
@@ -190,7 +192,15 @@ def run_round(
     noise_std: float = 0.0,
     power_cap: float = 1.0,
 ) -> RoundRecord:
-    """Execute one federated round; mutates server and client state."""
+    """Execute one federated round; mutates server and client state.
+
+    `population` is the union of the clients' data, over which the global
+    loss is evaluated."""
+    held = sum(c.size for c in clients)
+    if population.size != held:
+        raise ConfigurationError(
+            f"population has {population.size} rows, clients hold {held}"
+        )
     t = server.round_index + 1
     rec = RoundRecord(round_index=t, scheme=cfg.scheme.kind)
 
@@ -200,7 +210,7 @@ def run_round(
             c.local_params = models.sgd_local_update(
                 model_spec, c.local_params, c.dataset, train_cfg, client_rngs[c.id]
             )
-        return _finish(rec, server, clients, model_spec)
+        return _finish(rec, server, population, model_spec)
 
     need_channel = cfg.scheme.analog or cfg.selection == SELECT_CHANNEL
     realization = None
@@ -242,7 +252,7 @@ def run_round(
     survivors = apply_deadline(delays, cfg.deadline)
     if not survivors:
         rec.events.append("protocol-error: all clients missed the deadline")
-        return _finish(rec, server, clients, model_spec)
+        return _finish(rec, server, population, model_spec)
 
     scheme = cfg.scheme
     beamformer = None
@@ -293,14 +303,15 @@ def run_round(
     rec.uplink_uses = result.channel_uses
     rec.uplink_bits = result.bits_equivalent
     rec.downlink_bits = server.params.size * DOWNLINK_BITS_PER_ENTRY
-    return _finish(rec, server, clients, model_spec)
+    return _finish(rec, server, population, model_spec)
 
 
 def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     """Run a full scenario: build data, clients, and server, then execute
     `scenario.rounds` federated rounds. Deterministic per seed."""
     streams = RngStreams(scenario.seed)
-    datasets = models.make_synthetic(scenario.partition, scenario.seed)
+    population = models.make_synthetic(scenario.partition, scenario.seed)
+    datasets = population.split(scenario.partition.sizes)
     d = scenario.model_spec.dim
     clients = [
         ClientState(
@@ -319,18 +330,24 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     records: list[RoundRecord] = []
     ledger = BudgetLedger()
     for _ in range(scenario.rounds):
-        rec = run_round(
-            server,
-            clients,
-            scenario.model_spec,
-            scenario.train_cfg,
-            scenario.round_cfg,
-            streams,
-            client_rngs,
-            n_antennas=scenario.n_antennas,
-            noise_std=scenario.noise_std,
-            power_cap=scenario.power_cap,
-        )
+        try:
+            rec = run_round(
+                server,
+                clients,
+                population,
+                scenario.model_spec,
+                scenario.train_cfg,
+                scenario.round_cfg,
+                streams,
+                client_rngs,
+                n_antennas=scenario.n_antennas,
+                noise_std=scenario.noise_std,
+                power_cap=scenario.power_cap,
+            )
+        except ProtocolError as exc:
+            # the finished rounds are the evidence of a failed run
+            exc.records, exc.ledger = records, ledger
+            raise
         records.append(rec)
         ledger.record(
             rec.round_index,

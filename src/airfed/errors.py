@@ -10,7 +10,13 @@ class ConfigurationError(AirfedError):
 
 
 class ProtocolError(AirfedError):
-    """Runtime federation failure (e.g. no uploads arrived in a round)."""
+    """Runtime federation failure (e.g. a round diverged).
+
+    When it stops a training run, `records` and `ledger` hold the rounds
+    finished before it."""
+
+    records = ()
+    ledger = None
 
 
 class SchemeError(AirfedError):

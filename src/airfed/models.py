@@ -7,7 +7,7 @@ checked against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,18 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    def split(self, sizes: list[int]) -> list["Dataset"]:
+        """Consecutive row blocks of the given sizes, as views of this data."""
+        if sum(sizes) != self.size:
+            raise ConfigurationError(
+                f"sizes sum to {sum(sizes)}, dataset has {self.size} rows"
+            )
+        ends = np.cumsum(sizes)
+        return [
+            Dataset(self.features[end - n : end], self.labels[end - n : end])
+            for n, end in zip(sizes, ends)
+        ]
 
 
 @dataclass
@@ -246,22 +258,26 @@ class PartitionSpec:
             raise ConfigurationError("label_kind must be 'real' or 'binary'")
 
 
-def make_synthetic(partition: PartitionSpec, seed: int) -> list[Dataset]:
-    """Deterministic synthetic datasets, one per client."""
+def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
+    """Deterministic synthetic population, client after client in row order;
+    `split(partition.sizes)` gives the clients' datasets. The arrays are
+    read-only, so no client can change another client's rows."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p = partition.n_features
     w_star = partition.w_star
     if w_star is None:
         w_star = rng.standard_normal(p)
-    datasets = []
-    for k in range(partition.n_clients):
-        n = partition.sizes[k]
+    n_rows = sum(partition.sizes)
+    population = Dataset(np.empty((n_rows, p)), np.empty(n_rows))
+    for client in population.split(partition.sizes):
         shift = partition.skew * rng.standard_normal(p)
-        X = rng.standard_normal((n, p)) + shift
-        z = X @ w_star
+        rng.standard_normal(out=client.features)
+        client.features += shift
+        z = client.features @ w_star
         if partition.label_kind == "binary":
-            y = (rng.random(n) < _sigmoid(z)).astype(np.float64)
+            client.labels[:] = rng.random(client.size) < _sigmoid(z)
         else:
-            y = z + partition.noise_std * rng.standard_normal(n)
-        datasets.append(Dataset(X, y))
-    return datasets
+            client.labels[:] = z + partition.noise_std * rng.standard_normal(client.size)
+    population.features.flags.writeable = False
+    population.labels.flags.writeable = False
+    return population

@@ -1,11 +1,13 @@
 """Flat `key = value` scenario files and their validated in-memory form.
 
-Unknown keys are rejected (no silent defaults for misspellings); every
-omitted key falls back to the documented default below.
+Unknown keys are rejected (no silent defaults for misspellings), and so are
+keys written where they cannot apply; every omitted key falls back to the
+documented default below. Every invalid file raises ScenarioError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import channel as ch_mod
@@ -100,6 +102,18 @@ class ScenarioError(ConfigurationError):
     """Scenario file could not be parsed or validated."""
 
 
+# A run keeps per-client state and streams; the bound also keeps the parser
+# from building a size list of billions of entries for a mistyped count.
+MAX_CLIENTS = 10**6
+
+# keys that mean something only under one setting of another key
+_RELEVANT_ONLY_WITH = {
+    "hidden": "model = mlp",
+    "tau": "sparsifier = threshold",
+    "measurements": "scheme = cs-over-the-air",
+}
+
+
 def _need(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ScenarioError(f"invalid value for `{key}`: {message}")
@@ -120,6 +134,7 @@ def _as_float(kv: dict, key: str, lo: float | None = None, strict: bool = False)
         v = float(kv[key])
     except ValueError:
         raise ScenarioError(f"invalid value for `{key}`: expected a number") from None
+    _need(math.isfinite(v), key, "expected a finite number")
     if lo is not None:
         if strict:
             _need(v > lo, key, f"must be > {lo}")
@@ -138,6 +153,14 @@ def _as_choice(kv: dict, key: str, choices: tuple[str, ...]) -> str:
     v = kv[key]
     _need(v in choices, key, f"must be one of {', '.join(choices)}")
     return v
+
+
+def _build(what: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), its ConfigurationError reported as a ScenarioError."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ScenarioError(f"invalid {what} configuration: {exc}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -163,13 +186,31 @@ def parse_scenario(text: str) -> Scenario:
     seed = _as_int(kv, "seed", lo=0)
     rounds = _as_int(kv, "rounds", lo=0)
     kind = _as_choice(kv, "model", (models.LINEAR, models.LOGISTIC, models.MLP))
+    sparsifier = _as_choice(
+        kv,
+        "sparsifier",
+        (
+            comp_mod.SPARSIFIER_NONE,
+            comp_mod.SPARSIFIER_THRESHOLD,
+            comp_mod.SPARSIFIER_TOPK,
+        ),
+    )
+    scheme_kind = _as_choice(kv, "scheme", ch_mod.SCHEMES)
+    # only keys written in the file count, not their defaults
+    active = {f"model = {kind}", f"sparsifier = {sparsifier}", f"scheme = {scheme_kind}"}
+    for key, setting in _RELEVANT_ONLY_WITH.items():
+        _need(key not in raw or setting in active, key, f"only applies with {setting}")
+
     p = _as_int(kv, "features", lo=1)
     hidden = _as_int(kv, "hidden", lo=1)
     l2 = _as_float(kv, "l2", lo=0.0)
     dim = models.ModelSpec.mlp_dim(p, hidden) if kind == models.MLP else p
-    model_spec = models.ModelSpec(kind, dim, hidden if kind == models.MLP else 0, l2)
+    model_spec = _build(
+        "model", models.ModelSpec, kind, dim, hidden if kind == models.MLP else 0, l2
+    )
 
     n_clients = _as_int(kv, "clients", lo=1)
+    _need(n_clients <= MAX_CLIENTS, "clients", f"must be <= {MAX_CLIENTS}")
     if kv["sizes"]:
         try:
             sizes = [int(s) for s in kv["sizes"].split(",")]
@@ -181,7 +222,9 @@ def parse_scenario(text: str) -> Scenario:
         _need(all(s >= 1 for s in sizes), "sizes", "every size must be >= 1")
     else:
         sizes = [_as_int(kv, "client_size", lo=1)] * n_clients
-    partition = models.PartitionSpec(
+    partition = _build(
+        "partition",
+        models.PartitionSpec,
         n_clients=n_clients,
         sizes=sizes,
         n_features=p,
@@ -194,21 +237,14 @@ def parse_scenario(text: str) -> Scenario:
     batch: int | str = kv["batch"]
     if batch != "full":
         batch = _as_int(kv, "batch", lo=1)
-    train_cfg = models.TrainConfig(
+    train_cfg = _build(
+        "training",
+        models.TrainConfig,
         step_size=mu,
         batch_size=batch,
         local_steps=_as_int(kv, "local_steps", lo=1),
     )
 
-    sparsifier = _as_choice(
-        kv,
-        "sparsifier",
-        (
-            comp_mod.SPARSIFIER_NONE,
-            comp_mod.SPARSIFIER_THRESHOLD,
-            comp_mod.SPARSIFIER_TOPK,
-        ),
-    )
     warmup = None
     if kv["warmup"]:
         try:
@@ -220,30 +256,28 @@ def parse_scenario(text: str) -> Scenario:
     clip = None if kv["clip"] == "none" else _as_float(kv, "clip", lo=0.0, strict=True)
     rho = _as_float(kv, "rho", lo=0.0, strict=True)
     _need(rho <= 1.0, "rho", "must be <= 1")
-    try:
-        codec = comp_mod.CodecSpec(
-            sparsifier=sparsifier,
-            threshold=_as_float(kv, "tau", lo=0.0),
-            keep_fraction=rho,
-            quantizer=_as_choice(
-                kv,
-                "quantizer",
-                (
-                    comp_mod.QUANTIZER_NONE,
-                    comp_mod.QUANTIZER_BINARY,
-                    comp_mod.QUANTIZER_THREE,
-                    comp_mod.QUANTIZER_FOUR,
-                ),
+    codec = _build(
+        "codec",
+        comp_mod.CodecSpec,
+        sparsifier=sparsifier,
+        threshold=_as_float(kv, "tau", lo=0.0),
+        keep_fraction=rho,
+        quantizer=_as_choice(
+            kv,
+            "quantizer",
+            (
+                comp_mod.QUANTIZER_NONE,
+                comp_mod.QUANTIZER_BINARY,
+                comp_mod.QUANTIZER_THREE,
+                comp_mod.QUANTIZER_FOUR,
             ),
-            error_feedback=_as_bool(kv, "error_feedback"),
-            momentum=_as_float(kv, "momentum", lo=0.0),
-            clip_norm=clip,
-            warmup=warmup,
-        )
-    except ConfigurationError as exc:
-        raise ScenarioError(f"invalid codec configuration: {exc}") from None
+        ),
+        error_feedback=_as_bool(kv, "error_feedback"),
+        momentum=_as_float(kv, "momentum", lo=0.0),
+        clip_norm=clip,
+        warmup=warmup,
+    )
 
-    scheme_kind = _as_choice(kv, "scheme", ch_mod.SCHEMES)
     measurements = _as_int(kv, "measurements", lo=0)
     if scheme_kind == ch_mod.CS_OVER_THE_AIR:
         _need(measurements >= 1, "measurements", "required for cs-over-the-air")
@@ -252,7 +286,9 @@ def parse_scenario(text: str) -> Scenario:
             "measurements",
             "must be < model dimension (no compression achieved)",
         )
-    scheme = ch_mod.TransportScheme(
+    scheme = _build(
+        "transport",
+        ch_mod.TransportScheme,
         scheme_kind,
         measurements if scheme_kind == ch_mod.CS_OVER_THE_AIR else None,
     )
@@ -262,20 +298,19 @@ def parse_scenario(text: str) -> Scenario:
     )
     participation = _as_float(kv, "participation", lo=0.0, strict=True)
     _need(participation <= 1.0, "participation", "must be <= 1")
-    try:
-        round_cfg = core.RoundConfig(
-            payload_mode=_as_choice(
-                kv, "payload", (core.PAYLOAD_WEIGHTS, core.PAYLOAD_GRADIENTS)
-            ),
-            period=_as_int(kv, "period", lo=1),
-            deadline=deadline,
-            participation=participation,
-            selection=_as_choice(kv, "selection", (core.SELECT_RANDOM, core.SELECT_CHANNEL)),
-            scheme=scheme,
-            codec=codec,
-        )
-    except ConfigurationError as exc:
-        raise ScenarioError(f"invalid round configuration: {exc}") from None
+    round_cfg = _build(
+        "round",
+        core.RoundConfig,
+        payload_mode=_as_choice(
+            kv, "payload", (core.PAYLOAD_WEIGHTS, core.PAYLOAD_GRADIENTS)
+        ),
+        period=_as_int(kv, "period", lo=1),
+        deadline=deadline,
+        participation=participation,
+        selection=_as_choice(kv, "selection", (core.SELECT_RANDOM, core.SELECT_CHANNEL)),
+        scheme=scheme,
+        codec=codec,
+    )
 
     loss_threshold = (
         None if kv["loss_threshold"] == "none" else _as_float(kv, "loss_threshold")

@@ -25,7 +25,7 @@ def fed_setup(mu=0.2):
         "seed = 12\nrounds = 100\nmodel = logistic\nfeatures = 20\nclients = 4\n"
         f"client_size = 30\nmu = {mu}\nl2 = 0.01"
     )
-    datasets = models.make_synthetic(sc.partition, sc.seed)
+    datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
     return sc, datasets
 
 
@@ -48,7 +48,7 @@ def test_criterion_1_federation_equals_centralized():
     max_dev = 0.0
     for _ in range(100):
         core.run_round(
-            server, clients, spec, sc.train_cfg, sc.round_cfg, streams, client_rngs
+            server, clients, union, spec, sc.train_cfg, sc.round_cfg, streams, client_rngs
         )
         w_cent = w_cent - mu * models.gradient(spec, w_cent, union)
         max_dev = max(max_dev, float(np.max(np.abs(server.params - w_cent))))

@@ -26,6 +26,22 @@ finite_vectors = hnp.arrays(
 )
 
 
+def lexsort_topk(g, rho):
+    """Oracle: the full-sort top-k rule. Descending |g|, ties to the lower
+    index, NaN after every number."""
+    k = max(1, math.ceil(rho * g.size))
+    return np.sort(np.lexsort((np.arange(g.size), -np.abs(g)))[:k])
+
+
+# few distinct magnitudes, so ties are common, plus infinities and NaN
+tie_prone = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan])
+mixed_vectors = hnp.arrays(
+    np.float64,
+    st.integers(1, 300),
+    elements=st.one_of(tie_prone, st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
 def threshold(g, tau):
     return C.encode(g, C.CodecSpec(sparsifier=C.SPARSIFIER_THRESHOLD, threshold=tau))
 
@@ -82,6 +98,20 @@ class TestSparsifyTopk:
             assert idx.size == k
             energy = float(np.sum(g[idx] ** 2))
             assert energy == pytest.approx(brute_force_best_subset_energy(g, k))
+
+
+    @given(
+        mixed_vectors,
+        st.one_of(st.just(1.0), st.floats(0, 1, exclude_min=True)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_oracle(self, g, rho):
+        np.testing.assert_array_equal(C.topk_indices(g, rho), lexsort_topk(g, rho))
+
+    def test_nan_entries_fill_after_every_number(self):
+        g = np.array([np.nan, np.nan, 1.0, 2.0])
+        np.testing.assert_array_equal(C.topk_indices(g, 0.75), [0, 2, 3])
+        np.testing.assert_array_equal(C.topk_indices(g, 0.5), [2, 3])
 
 
 class TestQuantize:

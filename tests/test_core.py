@@ -30,11 +30,16 @@ def one_round(spec, datasets, w, mu, payload_mode):
         core.ClientState(k, d, w.copy(), C.EncoderState.zeros(spec.dim))
         for k, d in enumerate(datasets)
     ]
+    population = models.Dataset(
+        np.vstack([d.features for d in datasets]),
+        np.concatenate([d.labels for d in datasets]),
+    )
     streams = core.RngStreams(0)
     server = core.ServerState(w.copy())
     core.run_round(
         server,
         clients,
+        population,
         spec,
         models.TrainConfig(step_size=mu, local_steps=1),
         core.RoundConfig(payload_mode=payload_mode),
@@ -109,6 +114,24 @@ class TestAggregateGradients:
             rtol=0,
             atol=1e-12,
         )
+
+
+    def test_population_must_hold_every_client_row(self):
+        spec = models.ModelSpec(models.LINEAR, 2)
+        data = models.Dataset(np.ones((3, 2)), np.zeros(3))
+        clients = [core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2))]
+        streams = core.RngStreams(0)
+        with pytest.raises(ConfigurationError, match="population has 2 rows"):
+            core.run_round(
+                core.ServerState(np.zeros(2)),
+                clients,
+                models.Dataset(data.features[:2], data.labels[:2]),
+                spec,
+                models.TrainConfig(step_size=0.1),
+                core.RoundConfig(),
+                streams,
+                {0: streams.client(0)},
+            )
 
 
 class TestSelectParticipants:
@@ -186,7 +209,7 @@ class TestRunTraining:
         )
         sc = parse_scenario(text)
         records, _ = core.run_training(sc)
-        datasets = models.make_synthetic(sc.partition, sc.seed)
+        datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
         # equal client sizes: centralized GD on the union is the oracle
         trajectory = centralized_gd(sc.model_spec, datasets, 0.2, 30)
         losses = [models.global_loss(sc.model_spec, w, datasets) for w in trajectory]
@@ -204,7 +227,7 @@ class TestRunTraining:
         (rec,) = records
         assert len(rec.participants) == 1
         cid = rec.participants[0]
-        datasets = models.make_synthetic(sc.partition, sc.seed)
+        datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
         streams = core.RngStreams(sc.seed)
         w = models.sgd_local_update(
             sc.model_spec, np.zeros(3), datasets[cid], sc.train_cfg, streams.client(cid)
@@ -251,7 +274,9 @@ class TestFig2Properties:
             "seed = 8\nrounds = 50\nmodel = logistic\nfeatures = 20\nclients = 4\n"
             "client_size = 30\nmu = 0.05\nl2 = 0.01"
         )
-        self.datasets = models.make_synthetic(self.sc.partition, self.sc.seed)
+        self.datasets = models.make_synthetic(self.sc.partition, self.sc.seed).split(
+            self.sc.partition.sizes
+        )
 
     def test_global_and_local_descent_properties(self):
         spec = self.sc.model_spec

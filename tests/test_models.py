@@ -87,6 +87,17 @@ class TestGlobalLoss:
         with pytest.raises(ConfigurationError):
             models.global_loss(spec, np.zeros(3), [])
 
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_pooled_equals_per_client(self, kind):
+        # one loss over the union equals the size-weighted per-client mean
+        rng = np.random.default_rng(8)
+        sizes = [1, 7, 30, 12]
+        spec, union = random_spec_and_data(kind, rng, n=sum(sizes), p=5, l2=0.01)
+        w = rng.standard_normal(spec.dim)
+        pooled = models.global_loss(spec, w, [union])
+        per_client = models.global_loss(spec, w, union.split(sizes))
+        assert pooled == pytest.approx(per_client, rel=1e-12, abs=0)
+
 
 class TestGradient:
     def test_linear_stationary_at_least_squares(self):
@@ -156,27 +167,75 @@ class TestSgdLocalUpdate:
         np.testing.assert_array_equal(w1, w2)
 
 
+def per_client_synthetic(partition, seed):
+    """Oracle: the per-client generator, one fresh array pair per client."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    p = partition.n_features
+    w_star = partition.w_star
+    if w_star is None:
+        w_star = rng.standard_normal(p)
+    datasets = []
+    for n in partition.sizes:
+        shift = partition.skew * rng.standard_normal(p)
+        X = rng.standard_normal((n, p)) + shift
+        z = X @ w_star
+        if partition.label_kind == "binary":
+            y = (rng.random(n) < models._sigmoid(z)).astype(np.float64)
+        else:
+            y = z + partition.noise_std * rng.standard_normal(n)
+        datasets.append(models.Dataset(X, y))
+    return datasets
+
+
 class TestMakeSynthetic:
     def test_single_client(self):
         part = models.PartitionSpec(1, [17], 3)
-        (ds,) = models.make_synthetic(part, seed=0)
+        (ds,) = models.make_synthetic(part, seed=0).split(part.sizes)
         assert ds.size == 17 and ds.n_features == 3
 
     def test_same_seed_identical(self):
         part = models.PartitionSpec(3, [5, 6, 7], 4, label_kind="binary")
         a = models.make_synthetic(part, seed=9)
         b = models.make_synthetic(part, seed=9)
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.features, db.features)
-            np.testing.assert_array_equal(da.labels, db.labels)
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_zero_skew_means_close_to_zero(self):
         n = 4000
         part = models.PartitionSpec(3, [n] * 3, 5, skew=0.0)
-        datasets = models.make_synthetic(part, seed=11)
+        datasets = models.make_synthetic(part, seed=11).split(part.sizes)
         for ds in datasets:
             means = ds.features.mean(axis=0)
             assert np.all(np.abs(means) < 3.0 / math.sqrt(n))
+
+    @pytest.mark.parametrize("label_kind", ["real", "binary"])
+    @pytest.mark.parametrize("skew", [0.0, 1.5])
+    @pytest.mark.parametrize("sizes", [[9, 9, 9], [1, 13, 4, 7]])
+    def test_pooled_equals_per_client_generator(self, sizes, skew, label_kind):
+        part = models.PartitionSpec(
+            len(sizes), sizes, 6, label_kind=label_kind, noise_std=0.3, skew=skew
+        )
+        population = models.make_synthetic(part, seed=21)
+        views = population.split(sizes)
+        for view, ref in zip(views, per_client_synthetic(part, seed=21)):
+            assert view.features.tobytes() == ref.features.tobytes()
+            assert view.labels.tobytes() == ref.labels.tobytes()
+            assert np.shares_memory(view.features, population.features)
+            assert np.shares_memory(view.labels, population.labels)
+        assert population.size == sum(sizes)
+
+    def test_population_is_read_only(self):
+        part = models.PartitionSpec(2, [3, 4], 2)
+        population = models.make_synthetic(part, seed=1)
+        first, _ = population.split(part.sizes)
+        for arr in (population.features, population.labels, first.features, first.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_split_sizes_must_cover_the_rows(self):
+        part = models.PartitionSpec(2, [3, 4], 2)
+        with pytest.raises(ConfigurationError):
+            models.make_synthetic(part, seed=1).split([3, 3])
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,10 +1,39 @@
 import csv
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfed import cli, models
-from airfed.scenario import ScenarioError, parse_scenario
+from airfed.scenario import _DEFAULTS, ScenarioError, parse_scenario
+
+# values a scenario key may take: defaults, keywords, numbers of every kind
+# (nan and inf included) and arbitrary text
+KEYWORDS = sorted(
+    set(_DEFAULTS.values())
+    | {"mlp", "linear", "threshold", "topk", "binary", "four-level", "gradients"}
+    | {"over-the-air", "cs-over-the-air", "channel", "true", "1,2", "0.5,1"}
+)
+VALUES = st.one_of(
+    st.sampled_from(KEYWORDS),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(),
+)
+KEY_LINES = st.lists(
+    st.sampled_from(sorted(_DEFAULTS)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(st.just(_DEFAULTS[key]), VALUES))
+    ),
+    max_size=len(_DEFAULTS),
+    unique_by=lambda kv: kv[0],
+)
+
+
+def parses_or_raises_scenario_error(text):
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
 
 
 class TestParseScenario:
@@ -54,6 +83,55 @@ class TestParseScenario:
     def test_mlp_dimension_derived(self):
         sc = parse_scenario("model = mlp\nfeatures = 4\nhidden = 3")
         assert sc.model_spec.dim == 3 * 4 + 2 * 3 + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mu = inf",
+            "sigma = inf",
+            "power_cap = inf",
+            "sparsifier = threshold\ntau = inf",
+            "l2 = inf",
+            "label_noise = inf",
+            "delay_mean = inf",
+            "delay_jitter = inf",
+            "loss_threshold = nan",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        key = text.rpartition("\n")[2].split(" = ")[0]
+        with pytest.raises(ScenarioError, match=f"`{key}`: expected a finite number"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("sparsifier = topk\ntau = 0.5", "tau"),
+            ("scheme = over-the-air\npayload = gradients\nmeasurements = 4", "measurements"),
+            ("model = logistic\nhidden = 4", "hidden"),
+        ],
+    )
+    def test_irrelevant_key_rejected(self, text, key):
+        with pytest.raises(ScenarioError, match=f"`{key}`: only applies with"):
+            parse_scenario(text)
+
+    def test_defaults_of_irrelevant_keys_are_not_counted(self):
+        sc = parse_scenario("model = linear\nsparsifier = topk\nrho = 0.5")
+        assert sc.model_spec.kind == models.LINEAR
+
+    def test_client_count_bounded(self):
+        with pytest.raises(ScenarioError, match="`clients`"):
+            parse_scenario("clients = 10000000000")
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_text_raises_only_scenario_error(self, text):
+        parses_or_raises_scenario_error(text)
+
+    @given(KEY_LINES)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_values_raise_only_scenario_error(self, lines):
+        parses_or_raises_scenario_error("\n".join(f"{k} = {v}" for k, v in lines))
 
 
 def run_cli(args):
@@ -138,10 +216,17 @@ class TestRunCommand:
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 10\n"
             "clients = 4\nclient_size = 20\nmu = 50\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"])
-        assert code == 1
-        assert "round 82" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: training diverged in round 82")
+        # the 81 finished rounds are left behind, without a summary
+        for name in ("rounds.csv", "budget.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["round"]) for r in rows] == list(range(1, 82))
+        assert (out / "events.csv").read_text().splitlines() == ["round,kind,detail"]
+        assert not (out / "summary.txt").exists()
 
     def test_period_aware_baseline(self, tmp_path):
         f = tmp_path / "s.cfg"
