@@ -172,20 +172,22 @@ def quantize(values: np.ndarray, levels: int) -> tuple[np.ndarray, tuple[float, 
         raise ConfigurationError("quantize requires nonempty values")
     sign = np.where(v >= 0, 1, -1).astype(np.int8)
     mag = np.abs(v)
+    # a mean is sum / count: the reduction np.mean does, without its wrapper
+    s0 = float(mag.sum() / v.size)
     if levels == 2:
-        return sign, (float(np.mean(mag)),)
+        return sign, (s0,)
     if levels == 3:
-        s0 = float(np.mean(mag))
         symbols = np.where(mag <= s0 / 2, 0, sign).astype(np.int8)
         nz = symbols != 0
-        s = float(np.mean(mag[nz])) if np.any(nz) else 0.0
+        n_nz = np.count_nonzero(nz)
+        s = float(mag[nz].sum() / n_nz) if n_nz else 0.0
         return symbols, (s,)
     if levels == 4:
-        s0 = float(np.mean(mag))
         inner = mag <= s0
         symbols = np.where(inner, sign, 2 * sign).astype(np.int8)
-        s_lo = float(np.mean(mag[inner])) if np.any(inner) else 0.0
-        s_hi = float(np.mean(mag[~inner])) if np.any(~inner) else 0.0
+        n_in = np.count_nonzero(inner)
+        s_lo = float(mag[inner].sum() / n_in) if n_in else 0.0
+        s_hi = float(mag[~inner].sum() / (v.size - n_in)) if n_in < v.size else 0.0
         return symbols, (s_lo, s_hi)
     raise ConfigurationError("levels must be one of 2, 3, 4")
 
@@ -244,7 +246,7 @@ def encode(
     else:
         idx = np.arange(d)
 
-    kept = v[idx].copy()
+    kept = v[idx]  # fancy indexing copies: masking v below leaves it intact
     if spec.error_feedback:
         state.momentum[idx] = 0.0
         state.residual[idx] = 0.0

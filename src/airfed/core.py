@@ -88,12 +88,14 @@ class RoundRecord:
 def select_participants(
     client_ids: list[int],
     fraction: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     channel: ch_mod.ChannelRealization | None = None,
     mode: str = SELECT_RANDOM,
 ) -> list[int]:
     """Choose max(1, ceil(fraction*K)) clients; channel-aware mode ranks by
-    descending channel norm with ties to the lower id."""
+    descending channel norm with ties to the lower id. Random mode draws
+    from `rng` only when it leaves a client out, so full participation
+    may pass None."""
     if not (0 < fraction <= 1):
         raise ConfigurationError("fraction must be in (0, 1]")
     k = max(1, math.ceil(fraction * len(client_ids)))
@@ -104,6 +106,8 @@ def select_participants(
             client_ids, key=lambda cid: (-float(np.linalg.norm(channel.gains[cid])), cid)
         )
         return sorted(ranked[:k])
+    if k >= len(client_ids):
+        return sorted(client_ids)
     chosen = rng.choice(np.array(client_ids), size=k, replace=False)
     return sorted(int(c) for c in chosen)
 
@@ -111,10 +115,12 @@ def select_participants(
 def sample_delays(
     clients: list[ClientState], rng: np.random.Generator
 ) -> dict[int, float]:
-    """delay = mean + jitter * u with u uniform in [-1, 1], floored at 0."""
+    """delay = mean + jitter * u with u uniform in [-1, 1], floored at 0;
+    one u per client, in list order."""
+    u = rng.uniform(-1.0, 1.0, size=len(clients))
     return {
-        c.id: max(0.0, c.delay_mean + c.delay_jitter * float(rng.uniform(-1.0, 1.0)))
-        for c in clients
+        c.id: max(0.0, c.delay_mean + c.delay_jitter * float(x))
+        for c, x in zip(clients, u)
     }
 
 
@@ -156,6 +162,11 @@ class RngStreams:
         return int(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(5, t)).generate_state(1)[0]
         )
+
+
+def _ids(client_ids) -> str:
+    """Client ids in ascending order, `;`-separated as in rounds.csv."""
+    return ";".join(str(cid) for cid in sorted(client_ids))
 
 
 def _finish(
@@ -223,7 +234,7 @@ def run_round(
     participants = select_participants(
         client_ids,
         cfg.participation,
-        streams.participation(t),
+        streams.participation(t) if cfg.participation < 1 else None,
         channel=realization,
         mode=cfg.selection,
     )
@@ -248,11 +259,15 @@ def run_round(
         raws[cid] = raw
         payloads[cid] = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
 
-    delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
-    survivors = apply_deadline(delays, cfg.deadline)
-    if not survivors:
-        rec.events.append("protocol-error: all clients missed the deadline")
-        return _finish(rec, server, population, model_spec)
+    survivors = participants
+    if cfg.deadline is not None:
+        delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
+        survivors = apply_deadline(delays, cfg.deadline)
+        if not survivors:
+            rec.events.append("protocol-error: all clients missed the deadline")
+            return _finish(rec, server, population, model_spec)
+        if len(survivors) < len(participants):
+            rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
 
     scheme = cfg.scheme
     beamformer = None
@@ -271,6 +286,9 @@ def run_round(
                 "falling back to ideal-digital"
             )
             scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
+        else:
+            if len(transmitters) < len(survivors):
+                rec.events.append("excluded: " + _ids(set(survivors) - set(transmitters)))
 
     entries = [
         ch_mod.TransmitEntry(
@@ -285,7 +303,12 @@ def run_round(
         for cid in transmitters
     ]
     result = ch_mod.transmit_round(
-        entries, scheme, realization, power, beamformer, streams.noise(t)
+        entries,
+        scheme,
+        realization,
+        power,
+        beamformer,
+        streams.noise(t) if scheme.analog else None,
     )
 
     if cfg.payload_mode == PAYLOAD_GRADIENTS:

@@ -120,17 +120,16 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z| is e^-z for z >= 0 and e^z below, and never overflows;
+    # min(z, -z) is -|z| that keeps a NaN's sign, as e^z and e^-z would
+    ez = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
-    # stable log(1 + e^z)
-    return np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(-np.abs(z))))
+    # stable log(1 + e^z) = max(z, 0) + log(1 + e^-|z|)
+    tail = np.log1p(np.exp(-np.abs(z)))
+    return np.where(z > 0, z + tail, tail)
 
 
 def _unpack_mlp(spec: ModelSpec, w: np.ndarray):
@@ -182,8 +181,12 @@ def global_loss(spec: ModelSpec, w: np.ndarray, datasets: list[Dataset]) -> floa
 def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:
     """Analytic gradient of local_loss at w over the given batch."""
     spec.check_dims(w, batch)
-    X, y = batch.features, batch.labels
-    n = batch.size
+    return _gradient(spec, w, batch.features, batch.labels)
+
+
+def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient over rows X, y, whose dimensions the caller has checked."""
+    n = X.shape[0]
     if spec.kind == LINEAR:
         g = X.T @ (X @ w - y) / n
     elif spec.kind == LOGISTIC:
@@ -214,10 +217,12 @@ def sgd_local_update(
     from the supplied generator, so the trajectory is reproducible.
     """
     w = np.array(w_start, dtype=np.float64)
+    spec.check_dims(w, data)  # once: every batch is rows of this valid data
+    X, y = data.features, data.labels
     n = data.size
     if cfg.batch_size == "full":
         for _ in range(cfg.local_steps):
-            w -= cfg.step_size * gradient(spec, w, data)
+            w -= cfg.step_size * _gradient(spec, w, X, y)
         return w
     b = min(cfg.batch_size, n)
     order = rng.permutation(n)
@@ -228,8 +233,7 @@ def sgd_local_update(
             pos = 0
         idx = order[pos : pos + b]
         pos += b
-        batch = Dataset(data.features[idx], data.labels[idx])
-        w -= cfg.step_size * gradient(spec, w, batch)
+        w -= cfg.step_size * _gradient(spec, w, X[idx], y[idx])
     return w
 
 

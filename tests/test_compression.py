@@ -42,6 +42,37 @@ mixed_vectors = hnp.arrays(
 )
 
 
+def mean_quantize(values, levels):
+    """Oracle: the quantizer with np.mean scales and np.any group tests."""
+    v = np.asarray(values, dtype=np.float64)
+    sign = np.where(v >= 0, 1, -1).astype(np.int8)
+    mag = np.abs(v)
+    if levels == 2:
+        return sign, (float(np.mean(mag)),)
+    if levels == 3:
+        s0 = float(np.mean(mag))
+        symbols = np.where(mag <= s0 / 2, 0, sign).astype(np.int8)
+        nz = symbols != 0
+        return symbols, (float(np.mean(mag[nz])) if np.any(nz) else 0.0,)
+    s0 = float(np.mean(mag))
+    inner = mag <= s0
+    symbols = np.where(inner, sign, 2 * sign).astype(np.int8)
+    s_lo = float(np.mean(mag[inner])) if np.any(inner) else 0.0
+    s_hi = float(np.mean(mag[~inner])) if np.any(~inner) else 0.0
+    return symbols, (s_lo, s_hi)
+
+
+# sums of up to 60 such values stay finite
+quantizer_inputs = hnp.arrays(
+    np.float64,
+    st.integers(1, 60),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -3.0]),
+        st.floats(-1e300, 1e300, allow_nan=False),
+    ),
+)
+
+
 def threshold(g, tau):
     return C.encode(g, C.CodecSpec(sparsifier=C.SPARSIFIER_THRESHOLD, threshold=tau))
 
@@ -151,6 +182,15 @@ class TestQuantize:
         np.testing.assert_array_equal(symbols, np.zeros(4))
         symbols, scales = C.quantize(np.zeros(4), 2)
         assert scales == (0.0,)
+
+    @given(quantizer_inputs, st.sampled_from([2, 3, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mean_oracle(self, v, levels):
+        symbols, scales = C.quantize(v, levels)
+        want_symbols, want_scales = mean_quantize(v, levels)
+        assert symbols.dtype == want_symbols.dtype
+        np.testing.assert_array_equal(symbols, want_symbols)
+        assert np.array(scales).tobytes() == np.array(want_scales).tobytes()
 
     @given(finite_vectors, st.sampled_from([2, 3, 4]))
     @settings(max_examples=100, deadline=None)

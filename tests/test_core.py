@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfed import channel as ch
 from airfed import compression as C
@@ -185,6 +187,29 @@ class TestApplyDeadline:
             d = core.sample_delays(clients, np.random.default_rng(seed))[0]
             assert 1.5 <= d <= 2.5
 
+    @given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_delays_equal_sequential_scalar_draws(self, n, seed):
+        rng = np.random.default_rng(seed)
+        clients = [
+            core.ClientState(
+                id=k,
+                dataset=models.Dataset(np.ones((1, 1)), np.zeros(1)),
+                local_params=np.zeros(1),
+                encoder=C.EncoderState.zeros(1),
+                delay_mean=float(rng.uniform(0, 2)),
+                delay_jitter=float(rng.uniform(0, 2)),
+            )
+            for k in range(n)
+        ]
+        # oracle: one scalar draw per client, in list order
+        scalar = np.random.default_rng(seed + 1)
+        expected = {
+            c.id: max(0.0, c.delay_mean + c.delay_jitter * float(scalar.uniform(-1.0, 1.0)))
+            for c in clients
+        }
+        assert core.sample_delays(clients, np.random.default_rng(seed + 1)) == expected
+
 
 def run_scenario(text):
     return core.run_training(parse_scenario(text))
@@ -194,6 +219,22 @@ class TestRunTraining:
     def test_zero_rounds(self):
         records, ledger = run_scenario("seed = 1\nrounds = 0")
         assert records == [] and ledger.entries == []
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (core, "sample_delays"),  # no deadline
+            (core.RngStreams, "noise"),  # ideal-digital links
+            (core.RngStreams, "participation"),  # every client takes part
+        ],
+    )
+    def test_a_round_builds_no_stream_it_never_draws_from(self, monkeypatch, owner, name):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+
+        monkeypatch.setattr(owner, name, unreachable)
+        records, _ = run_scenario("seed = 1\nrounds = 3\nclients = 3\nfeatures = 3")
+        assert [r.participants for r in records] == [[0, 1, 2]] * 3
 
     def test_same_seed_identical_streams(self):
         base = "seed = 3\nrounds = 8\nclients = 3\nparticipation = 0.5\ndelay_jitter = 0.1\ndeadline = 5"

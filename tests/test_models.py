@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airfed import models
 from airfed.errors import ConfigurationError
@@ -165,6 +168,88 @@ class TestSgdLocalUpdate:
         w1 = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(42))
         w2 = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(w1, w2)
+
+
+def masked_sigmoid(z):
+    """Oracle: the sigmoid by boolean-mask scatters, one exponent per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_term_log1pexp(z):
+    """Oracle: log(1 + e^z) with log1p(e^-|z|) evaluated in both branches."""
+    return np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(-np.abs(z))))
+
+
+def per_step_dataset_sgd(spec, w_start, data, cfg, rng):
+    """Oracle: local SGD that builds a validated Dataset for every batch and
+    calls the public gradient on it."""
+    w = np.array(w_start, dtype=np.float64)
+    n = data.size
+    if cfg.batch_size == "full":
+        for _ in range(cfg.local_steps):
+            w -= cfg.step_size * models.gradient(spec, w, data)
+        return w
+    b = min(cfg.batch_size, n)
+    order = rng.permutation(n)
+    pos = 0
+    for _ in range(cfg.local_steps):
+        if pos >= n:
+            order = rng.permutation(n)
+            pos = 0
+        idx = order[pos : pos + b]
+        pos += b
+        batch = models.Dataset(data.features[idx], data.labels[idx])
+        w -= cfg.step_size * models.gradient(spec, w, batch)
+    return w
+
+
+# arbitrary doubles, with the edges of the exponent written out
+edge_floats = st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.5, -710.5, 745.2, -745.2, 1e308, -1e308]
+)
+any_floats = hnp.arrays(
+    np.float64,
+    st.integers(0, 40),
+    elements=st.one_of(edge_floats, st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
+class TestKernelsMatchOracles:
+    @given(any_floats)
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_bitwise(self, z):
+        # a RuntimeWarning fails the suite, so this also checks none is raised
+        assert models._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    @given(any_floats)
+    @settings(max_examples=300, deadline=None)
+    def test_log1pexp_bitwise(self, z):
+        assert models._log1pexp(z).tobytes() == two_term_log1pexp(z).tobytes()
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @given(
+        n=st.integers(1, 40),
+        batch=st.one_of(st.just("full"), st.integers(1, 43)),
+        steps=st.integers(1, 12),
+        l2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sgd_local_update_equals_per_step_dataset_loop(self, kind, n, batch, steps, l2, seed):
+        rng = np.random.default_rng(seed)
+        spec, data = random_spec_and_data(kind, rng, n=n, p=5, l2=l2)
+        w0 = 0.5 * rng.standard_normal(spec.dim)
+        if batch != "full":
+            batch = min(batch, n + 3)
+        cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
+        got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
+        want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
 
 
 def per_client_synthetic(partition, seed):

@@ -209,6 +209,54 @@ class TestRunCommand:
         ]
         assert all(r["detail"] and not r["detail"].startswith(" ") for r in rows)
 
+    def run_twice_and_read(self, tmp_path, text):
+        """rounds.csv and events.csv rows of a run, after checking that a
+        rerun writes the same events.csv."""
+        f = tmp_path / "s.cfg"
+        f.write_text(text)
+        for out in ("a", "b"):
+            assert run_cli(["run", str(f), "--out", str(tmp_path / out), "--quiet"]) == 0
+        events = (tmp_path / "a" / "events.csv").read_bytes()
+        assert events == (tmp_path / "b" / "events.csv").read_bytes()
+        with open(tmp_path / "a" / "rounds.csv", newline="") as fh:
+            rounds = list(csv.DictReader(fh))
+        with open(tmp_path / "a" / "events.csv", newline="") as fh:
+            return rounds, list(csv.DictReader(fh))
+
+    def test_events_csv_names_deadline_misses(self, tmp_path):
+        # each client misses the deadline with probability 1/2
+        rounds, events = self.run_twice_and_read(
+            tmp_path, BASE + "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n"
+        )
+        missed = {r["round"]: r["detail"] for r in events if r["kind"] == "deadline-miss"}
+        assert missed and all(r["kind"] == "deadline-miss" for r in events)
+        for r in rounds:
+            aggregated = r["participants"].split(";") if r["participants"] else []
+            named = missed[r["round"]].split(";") if r["round"] in missed else []
+            # a row names the clients that missed: the rest were aggregated
+            assert named == sorted(named, key=int)
+            assert sorted(aggregated + named, key=int) == ["0", "1", "2", "3", "4"]
+
+    def test_events_csv_names_excluded_clients(self, tmp_path):
+        # two antennas for five clients: the beamformer cannot reach every one
+        rounds, events = self.run_twice_and_read(
+            tmp_path,
+            BASE + "scheme = over-the-air\npayload = gradients\nantennas = 2\npower_cap = 1\n",
+        )
+        kinds = {r["round"]: r["kind"] for r in events}
+        assert len(kinds) == len(events)  # at most one row per round
+        excluded = {r["round"]: r["detail"] for r in events if r["kind"] == "excluded"}
+        assert excluded and "scheme-error" in kinds.values()
+        for r in rounds:
+            aggregated = r["participants"].split(";")
+            named = excluded[r["round"]].split(";") if r["round"] in excluded else []
+            assert named == sorted(named, key=int)
+            if kinds.get(r["round"]) == "scheme-error":
+                # a fallback round sends every survivor over digital links
+                assert aggregated == ["0", "1", "2", "3", "4"]
+            else:
+                assert sorted(aggregated + named, key=int) == ["0", "1", "2", "3", "4"]
+
     def test_divergence_exits_one_naming_the_round(self, tmp_path, capsys):
         # at this step size the linear model's loss first overflows in round 82
         f = tmp_path / "s.cfg"
