@@ -9,9 +9,11 @@ and held constant across the round's channel uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .compression import CompressedGradient
 from .errors import ConfigurationError, ProtocolError, SchemeError
 
 IDEAL_DIGITAL = "ideal-digital"
@@ -44,27 +46,13 @@ class ChannelRealization:
         return self.gains.shape[1]
 
 
-@dataclass
-class PowerAllocation:
-    powers: dict[int, float]  # client id -> p_k
-    cap: float
+class AirPlan(NamedTuple):
+    """An over-the-air round's transceiver: receive beamformer m, amplitude
+    sqrt(p_k) per transmitting client, and those clients in ascending order."""
 
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ConfigurationError("power cap must be > 0")
-        for cid, p in self.powers.items():
-            if p < 0 or p > self.cap * (1 + 1e-12):
-                raise ConfigurationError(f"power for client {cid} outside [0, cap]")
-
-
-@dataclass
-class Beamformer:
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(self.weights)):
-            raise ConfigurationError("beamformer weights must be finite")
+    beam: np.ndarray
+    amplitudes: dict[int, float]
+    transmitters: list[int]
 
 
 @dataclass
@@ -100,7 +88,7 @@ def solve_aggregation_weights(
     ch: ChannelRealization,
     targets: dict[int, float],
     power_cap: float,
-) -> tuple[Beamformer, PowerAllocation, list[int], dict[int, float]]:
+) -> AirPlan:
     """Find (m, p) approximating m^T h_k sqrt(p_k) = c_k under the power cap.
 
     Iterative heuristic: solve for the minimum-norm beamformer hitting unit
@@ -117,11 +105,7 @@ def solve_aggregation_weights(
     if not candidates or abs(ssum - 1.0) > 1e-9:
         raise ConfigurationError("targets must sum to 1 over candidates")
 
-    n_rounds = len(candidates)
-    m_vec = None
-    for _ in range(n_rounds):
-        if not candidates:
-            break
+    while candidates:
         H = ch.gains[candidates]  # (Kc, N)
         if ch.n_antennas >= len(candidates):
             m_vec = np.linalg.pinv(H) @ np.ones(len(candidates))
@@ -136,30 +120,15 @@ def solve_aggregation_weights(
             m_vec = vt[0]
             if np.sum(H @ m_vec) < 0:
                 m_vec = -m_vec
-        gains = H @ m_vec
-        excluded = []
-        powers = {}
-        for cid, gain in zip(candidates, gains):
-            if gain <= GAIN_EPS:
-                excluded.append(cid)
-                continue
-            sqrt_p = tgt[cid] / gain
-            if sqrt_p * sqrt_p > power_cap:
-                excluded.append(cid)
-            else:
-                powers[cid] = sqrt_p * sqrt_p
-        if not excluded:
-            residuals = {
-                cid: abs(float(gain) * np.sqrt(powers[cid]) - tgt[cid])
-                for cid, gain in zip(candidates, gains)
-            }
-            return (
-                Beamformer(m_vec),
-                PowerAllocation(powers, power_cap),
-                candidates,
-                residuals,
-            )
-        candidates = [cid for cid in candidates if cid not in excluded]
+        amplitudes = {}
+        for cid, gain in zip(candidates, H @ m_vec):
+            if gain > GAIN_EPS:
+                a = tgt[cid] / gain
+                if a * a <= power_cap:
+                    amplitudes[cid] = a
+        if len(amplitudes) == len(candidates):
+            return AirPlan(m_vec, amplitudes, candidates)
+        candidates = list(amplitudes)
         total = sum(targets[cid] for cid in candidates)
         if total > 0:
             tgt = {cid: targets[cid] / total for cid in candidates}
@@ -238,12 +207,13 @@ class TransmitEntry:
     """One client's contribution to a round's uplink."""
 
     client_id: int
-    dense: np.ndarray  # decoded payload actually transmitted
+    payload: CompressedGradient  # what the client transmits
     raw: np.ndarray  # uncompressed payload, for error accounting
     size: int  # |D_k|
-    n_symbols: int  # digital symbols this payload would occupy
-    payload_bits: int
-    sparsity: int  # nonzero budget contributed to CS recovery
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.payload.decode()
 
 
 @dataclass
@@ -258,36 +228,36 @@ def transmit_round(
     entries: list[TransmitEntry],
     scheme: TransportScheme,
     ch: ChannelRealization | None = None,
-    power: PowerAllocation | None = None,
-    beamformer: Beamformer | None = None,
+    plan: AirPlan | None = None,
     rng: np.random.Generator | None = None,
 ) -> TransmitResult:
-    """Deliver one round of uplink payloads and aggregate at the server."""
+    """Deliver one round of uplink payloads and aggregate at the server.
+
+    A digital payload occupies one channel use per transmitted entry. An
+    analog round needs the channel, its plan and the noise generator."""
     if not entries:
         raise SchemeError("no payloads to transmit")
-    d = entries[0].dense.size
+    dense = [e.dense for e in entries]
+    d = dense[0].size
     sizes = [e.size for e in entries]
     exact = weighted_mean([e.raw for e in entries], sizes)
 
     if scheme.kind == IDEAL_DIGITAL:
-        agg = weighted_mean([e.dense for e in entries], sizes)
-        uses = sum(e.n_symbols for e in entries)
-        bits = sum(e.payload_bits for e in entries)
+        agg = weighted_mean(dense, sizes)
+        uses = sum(e.payload.indices.size for e in entries)
+        bits = sum(e.payload.payload_bits for e in entries)
         return TransmitResult(agg, uses, bits, float(np.linalg.norm(agg - exact)))
 
-    if ch is None or power is None or beamformer is None:
-        raise ConfigurationError("analog schemes require channel, power, beamformer")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(ch.seed))
+    if ch is None or plan is None or rng is None:
+        raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
 
     coeffs = np.array(
         [
-            float(beamformer.weights @ ch.gains[e.client_id])
-            * np.sqrt(power.powers[e.client_id])
+            float(plan.beam @ ch.gains[e.client_id]) * plan.amplitudes[e.client_id]
             for e in entries
         ]
     )
-    y = coeffs @ np.stack([e.dense for e in entries])  # superposed payloads
+    y = coeffs @ np.stack(dense)  # superposed payloads
     if scheme.kind == CS_OVER_THE_AIR:
         if scheme.measurements >= d:
             raise ConfigurationError("measurements must be < d (no compression achieved)")
@@ -296,9 +266,10 @@ def transmit_round(
     uses = y.size
     if ch.noise_std > 0:
         noise = ch.noise_std * rng.standard_normal((uses, ch.n_antennas))
-        y = y + noise @ beamformer.weights
+        y = y + noise @ plan.beam
     if scheme.kind == CS_OVER_THE_AIR:
-        agg = omp_recover(A, y, sum(e.sparsity for e in entries))
+        budget = sum(np.count_nonzero(e.payload.values) for e in entries)
+        agg = omp_recover(A, y, budget)
     else:
         agg = y
     return TransmitResult(

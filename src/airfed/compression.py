@@ -21,11 +21,13 @@ FLOAT_BITS = 64
 SPARSIFIER_NONE = "none"
 SPARSIFIER_THRESHOLD = "threshold"
 SPARSIFIER_TOPK = "topk"
+SPARSIFIERS = (SPARSIFIER_NONE, SPARSIFIER_THRESHOLD, SPARSIFIER_TOPK)
 
 QUANTIZER_NONE = "none"
 QUANTIZER_BINARY = "binary"
 QUANTIZER_THREE = "three-level"
 QUANTIZER_FOUR = "four-level"
+QUANTIZERS = (QUANTIZER_NONE, QUANTIZER_BINARY, QUANTIZER_THREE, QUANTIZER_FOUR)
 
 _SYMBOL_BITS = {
     QUANTIZER_NONE: FLOAT_BITS,
@@ -44,20 +46,10 @@ def index_bits(d: int) -> int:
 class CompressedGradient:
     """Sparse encoded gradient plus everything needed to decode it."""
 
-    indices: np.ndarray  # sorted unique int64 positions, all < d
-    values: np.ndarray  # decoded real values aligned with indices
+    indices: np.ndarray  # strictly increasing int64 positions in [0, d)
+    values: np.ndarray  # decoded float64 values aligned with indices
     d: int
     payload_bits: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.size and (
-            np.any(np.diff(self.indices) <= 0)
-            or self.indices[0] < 0
-            or self.indices[-1] >= self.d
-        ):
-            raise ConfigurationError("indices must be strictly increasing and < d")
 
     def decode(self) -> np.ndarray:
         dense = np.zeros(self.d)
@@ -77,9 +69,9 @@ class CodecSpec:
     warmup: tuple[float, ...] | None = None  # per-epoch keep fractions
 
     def __post_init__(self):
-        if self.sparsifier not in (SPARSIFIER_NONE, SPARSIFIER_THRESHOLD, SPARSIFIER_TOPK):
+        if self.sparsifier not in SPARSIFIERS:
             raise ConfigurationError(f"unknown sparsifier {self.sparsifier!r}")
-        if self.quantizer not in _SYMBOL_BITS:
+        if self.quantizer not in QUANTIZERS:
             raise ConfigurationError(f"unknown quantizer {self.quantizer!r}")
         if self.sparsifier == SPARSIFIER_THRESHOLD and self.threshold < 0:
             raise ConfigurationError("threshold must be >= 0")

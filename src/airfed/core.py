@@ -18,9 +18,11 @@ from .errors import ConfigurationError, ProtocolError, SchemeError
 
 PAYLOAD_WEIGHTS = "weights"
 PAYLOAD_GRADIENTS = "gradients"
+PAYLOAD_MODES = (PAYLOAD_WEIGHTS, PAYLOAD_GRADIENTS)
 
 SELECT_RANDOM = "random"
 SELECT_CHANNEL = "channel"
+SELECTIONS = (SELECT_RANDOM, SELECT_CHANNEL)
 
 DOWNLINK_BITS_PER_ENTRY = 64
 
@@ -56,13 +58,13 @@ class RoundConfig:
     codec: comp_mod.CodecSpec = field(default_factory=comp_mod.CodecSpec)
 
     def __post_init__(self):
-        if self.payload_mode not in (PAYLOAD_WEIGHTS, PAYLOAD_GRADIENTS):
+        if self.payload_mode not in PAYLOAD_MODES:
             raise ConfigurationError(f"unknown payload mode {self.payload_mode!r}")
         if self.period < 1:
             raise ConfigurationError("aggregation period must be >= 1")
         if not (0 < self.participation <= 1):
             raise ConfigurationError("participation must be in (0, 1]")
-        if self.selection not in (SELECT_RANDOM, SELECT_CHANNEL):
+        if self.selection not in SELECTIONS:
             raise ConfigurationError(f"unknown selection mode {self.selection!r}")
         if self.scheme.analog and self.payload_mode != PAYLOAD_GRADIENTS:
             raise ConfigurationError(
@@ -142,9 +144,6 @@ class RngStreams:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         )
-
-    def data(self) -> np.random.Generator:
-        return self._rng(0)
 
     def client(self, cid: int) -> np.random.Generator:
         return self._rng(1, cid)
@@ -270,16 +269,13 @@ def run_round(
             rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
 
     scheme = cfg.scheme
-    beamformer = None
-    power = None
+    plan = None
     transmitters = survivors
     if scheme.analog:
         total = sum(by_id[cid].size for cid in survivors)
         targets = {cid: by_id[cid].size / total for cid in survivors}
         try:
-            beamformer, power, transmitters, _ = ch_mod.solve_aggregation_weights(
-                realization, targets, power_cap
-            )
+            plan = ch_mod.solve_aggregation_weights(realization, targets, power_cap)
         except SchemeError:
             rec.events.append(
                 "scheme-error: aggregation constraints unsatisfiable, "
@@ -287,28 +283,16 @@ def run_round(
             )
             scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
         else:
+            transmitters = plan.transmitters
             if len(transmitters) < len(survivors):
                 rec.events.append("excluded: " + _ids(set(survivors) - set(transmitters)))
 
     entries = [
-        ch_mod.TransmitEntry(
-            client_id=cid,
-            dense=payloads[cid].decode(),
-            raw=raws[cid],
-            size=by_id[cid].size,
-            n_symbols=int(payloads[cid].indices.size),
-            payload_bits=payloads[cid].payload_bits,
-            sparsity=int(np.count_nonzero(payloads[cid].values)),
-        )
+        ch_mod.TransmitEntry(cid, payloads[cid], raws[cid], by_id[cid].size)
         for cid in transmitters
     ]
     result = ch_mod.transmit_round(
-        entries,
-        scheme,
-        realization,
-        power,
-        beamformer,
-        streams.noise(t) if scheme.analog else None,
+        entries, scheme, realization, plan, streams.noise(t) if scheme.analog else None
     )
 
     if cfg.payload_mode == PAYLOAD_GRADIENTS:

@@ -247,7 +247,6 @@ class PartitionSpec:
     label_kind: str = "real"  # "real" or "binary"
     noise_std: float = 0.0
     skew: float = 0.0  # per-client feature-mean shift magnitude
-    w_star: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -268,9 +267,7 @@ def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
     read-only, so no client can change another client's rows."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p = partition.n_features
-    w_star = partition.w_star
-    if w_star is None:
-        w_star = rng.standard_normal(p)
+    w_star = rng.standard_normal(p)
     n_rows = sum(partition.sizes)
     population = Dataset(np.empty((n_rows, p)), np.empty(n_rows))
     for client in population.split(partition.sizes):

@@ -185,16 +185,8 @@ def parse_scenario(text: str) -> Scenario:
 
     seed = _as_int(kv, "seed", lo=0)
     rounds = _as_int(kv, "rounds", lo=0)
-    kind = _as_choice(kv, "model", (models.LINEAR, models.LOGISTIC, models.MLP))
-    sparsifier = _as_choice(
-        kv,
-        "sparsifier",
-        (
-            comp_mod.SPARSIFIER_NONE,
-            comp_mod.SPARSIFIER_THRESHOLD,
-            comp_mod.SPARSIFIER_TOPK,
-        ),
-    )
+    kind = _as_choice(kv, "model", models.MODEL_KINDS)
+    sparsifier = _as_choice(kv, "sparsifier", comp_mod.SPARSIFIERS)
     scheme_kind = _as_choice(kv, "scheme", ch_mod.SCHEMES)
     # only keys written in the file count, not their defaults
     active = {f"model = {kind}", f"sparsifier = {sparsifier}", f"scheme = {scheme_kind}"}
@@ -262,16 +254,7 @@ def parse_scenario(text: str) -> Scenario:
         sparsifier=sparsifier,
         threshold=_as_float(kv, "tau", lo=0.0),
         keep_fraction=rho,
-        quantizer=_as_choice(
-            kv,
-            "quantizer",
-            (
-                comp_mod.QUANTIZER_NONE,
-                comp_mod.QUANTIZER_BINARY,
-                comp_mod.QUANTIZER_THREE,
-                comp_mod.QUANTIZER_FOUR,
-            ),
-        ),
+        quantizer=_as_choice(kv, "quantizer", comp_mod.QUANTIZERS),
         error_feedback=_as_bool(kv, "error_feedback"),
         momentum=_as_float(kv, "momentum", lo=0.0),
         clip_norm=clip,
@@ -301,13 +284,11 @@ def parse_scenario(text: str) -> Scenario:
     round_cfg = _build(
         "round",
         core.RoundConfig,
-        payload_mode=_as_choice(
-            kv, "payload", (core.PAYLOAD_WEIGHTS, core.PAYLOAD_GRADIENTS)
-        ),
+        payload_mode=_as_choice(kv, "payload", core.PAYLOAD_MODES),
         period=_as_int(kv, "period", lo=1),
         deadline=deadline,
         participation=participation,
-        selection=_as_choice(kv, "selection", (core.SELECT_RANDOM, core.SELECT_CHANNEL)),
+        selection=_as_choice(kv, "selection", core.SELECTIONS),
         scheme=scheme,
         codec=codec,
     )

@@ -118,15 +118,15 @@ def test_criterion_4_over_the_air_exactness():
     realization = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
     sizes = [2, 3, 5]
     targets = {k: sizes[k] / sum(sizes) for k in range(K)}
-    m, p, selected, _ = ch.solve_aggregation_weights(realization, targets, 1e6)
-    assert selected == [0, 1, 2]
+    plan = ch.solve_aggregation_weights(realization, targets, 1e6)
+    assert plan.transmitters == [0, 1, 2]
     vectors = [rng.standard_normal(d) for _ in range(K)]
     entries = [
-        ch.TransmitEntry(k, vectors[k], vectors[k], sizes[k], d, d * 64, d)
+        ch.TransmitEntry(k, C.encode(vectors[k], C.CodecSpec()), vectors[k], sizes[k])
         for k in range(K)
     ]
     res = ch.transmit_round(
-        entries, ch.TransportScheme(ch.OVER_THE_AIR), realization, p, m,
+        entries, ch.TransportScheme(ch.OVER_THE_AIR), realization, plan,
         np.random.default_rng(0),
     )
     noiseless_ok = res.aggregation_error < 1e-8
@@ -140,7 +140,7 @@ def test_criterion_4_over_the_air_exactness():
         errs = []
         for _ in range(1000):
             out = ch.transmit_round(
-                entries, ch.TransportScheme(ch.OVER_THE_AIR), noisy, p, m, noise_rng
+                entries, ch.TransportScheme(ch.OVER_THE_AIR), noisy, plan, noise_rng
             )
             errs.append(float(np.mean((out.aggregated - exact) ** 2)))
         mses.append(np.mean(errs))

@@ -8,38 +8,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed import channel as ch
+from airfed import compression as C
 from airfed.errors import ConfigurationError, SchemeError
 
 DIGITAL = ch.TransportScheme(ch.IDEAL_DIGITAL)
 OTA = ch.TransportScheme(ch.OVER_THE_AIR)
 
 
-def make_entries(vectors, sizes, sparsity=None):
+def make_entries(vectors, sizes):
+    """Entries whose payloads are the vectors, encoded dense and lossless."""
     return [
-        ch.TransmitEntry(
-            client_id=k,
-            dense=v,
-            raw=v,
-            size=s,
-            n_symbols=v.size,
-            payload_bits=v.size * 64 + 64,
-            sparsity=sparsity if sparsity is not None else int(np.count_nonzero(v)),
-        )
+        ch.TransmitEntry(k, C.encode(v, C.CodecSpec()), v, s)
         for k, (v, s) in enumerate(zip(vectors, sizes))
     ]
+
+
+def unit_plan(weights, n_clients):
+    """Beamformer `weights` with every client transmitting at unit power."""
+    k = range(n_clients)
+    return ch.AirPlan(np.array(weights, dtype=float), {c: 1.0 for c in k}, list(k))
 
 
 def superpose(values, gains, weights, sigma=0.0, rng=None):
     """Over-the-air output for client k sending values[k] at unit power."""
     r = ch.ChannelRealization(np.array(gains, dtype=float), sigma)
-    p = ch.PowerAllocation({k: 1.0 for k in range(len(values))}, cap=1.0)
-    m = ch.Beamformer(np.array(weights, dtype=float))
     vectors = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
     res = ch.transmit_round(
-        make_entries(vectors, [1] * len(vectors)), OTA, r, p, m,
+        make_entries(vectors, [1] * len(vectors)), OTA, r, unit_plan(weights, len(values)),
         rng or np.random.default_rng(0),
     )
     return res.aggregated
+
+
+def residuals(r, targets, plan):
+    """|m^T h_k sqrt(p_k) - c'_k| per transmitter, c' the targets renormalised
+    over the transmitters; the gains are taken as the solver takes them."""
+    tx = plan.transmitters
+    total = sum(targets[cid] for cid in tx)
+    gains = r.gains[tx] @ plan.beam
+    return {
+        cid: abs(float(g) * plan.amplitudes[cid] - targets[cid] / total)
+        for cid, g in zip(tx, gains)
+    }
 
 
 class TestSampleChannel:
@@ -95,30 +105,30 @@ class TestBeamformCombine:
 class TestSolveAggregationWeights:
     def test_orthogonal_channels_zero_residual(self):
         r = ch.ChannelRealization(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.0)
-        m, p, selected, residuals = ch.solve_aggregation_weights(
-            r, {0: 0.5, 1: 0.5}, power_cap=1.0
-        )
-        assert selected == [0, 1]
-        assert all(v < 1e-10 for v in residuals.values())
+        targets = {0: 0.5, 1: 0.5}
+        plan = ch.solve_aggregation_weights(r, targets, power_cap=1.0)
+        assert plan.transmitters == [0, 1]
+        assert all(v < 1e-10 for v in residuals(r, targets, plan).values())
 
     def test_single_client(self):
         g = 2.0
         r = ch.ChannelRealization(np.array([[g]]), 0.0)
-        m, p, selected, residuals = ch.solve_aggregation_weights(r, {0: 1.0}, 1.0)
-        mg = float(m.weights @ r.gains[0])
-        assert p.powers[0] == pytest.approx(1.0 / (mg * mg))
-        assert residuals[0] < 1e-12
+        plan = ch.solve_aggregation_weights(r, {0: 1.0}, 1.0)
+        mg = float(plan.beam @ r.gains[0])
+        assert plan.amplitudes[0] ** 2 == pytest.approx(1.0 / (mg * mg))
+        assert residuals(r, {0: 1.0}, plan)[0] < 1e-12
 
     def test_weak_client_excluded(self):
         gains = np.array([[1e-6, 0.0], [0.0, 1.0], [1.0, 1.0]])
         r = ch.ChannelRealization(gains, 0.0)
-        m, p, selected, residuals = ch.solve_aggregation_weights(
+        plan = ch.solve_aggregation_weights(
             r, {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, power_cap=1.0
         )
-        assert 0 not in selected
+        assert 0 not in plan.transmitters
         # surviving targets renormalize to 1: constraints hold for survivors
         total = sum(
-            float(m.weights @ gains[cid]) * np.sqrt(p.powers[cid]) for cid in selected
+            float(plan.beam @ gains[cid]) * plan.amplitudes[cid]
+            for cid in plan.transmitters
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -128,9 +138,10 @@ class TestSolveAggregationWeights:
             K, N = 3, 5
             r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
             targets = {k: 1.0 / K for k in range(K)}
-            m, p, selected, residuals = ch.solve_aggregation_weights(r, targets, 100.0)
-            for cid in selected:
-                assert residuals[cid] < 1e-9
+            plan = ch.solve_aggregation_weights(r, targets, 100.0)
+            res = residuals(r, targets, plan)
+            for cid in plan.transmitters:
+                assert res[cid] < 1e-9
 
     def test_all_excluded_raises(self):
         r = ch.ChannelRealization(np.array([[1e-12]]), 0.0)
@@ -142,14 +153,36 @@ class TestSolveAggregationWeights:
         gains = rng.standard_normal((3, 4))
         targets = {k: 1 / 3 for k in range(3)}
         lam = 2.5
-        _, p1, _, _ = ch.solve_aggregation_weights(
+        a1 = ch.solve_aggregation_weights(
             ch.ChannelRealization(gains, 0.0), targets, 1e6
-        )
-        _, p2, _, _ = ch.solve_aggregation_weights(
+        ).amplitudes
+        a2 = ch.solve_aggregation_weights(
             ch.ChannelRealization(lam * gains, 0.0), targets, 1e6
-        )
+        ).amplitudes
         for k in range(3):
-            assert p2.powers[k] == pytest.approx(p1.powers[k] / lam**2, rel=1e-9)
+            assert a2[k] ** 2 == pytest.approx(a1[k] ** 2 / lam**2, rel=1e-9)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_meets_every_transmitter_target(self, data):
+        K = data.draw(st.integers(1, 6))
+        N = data.draw(st.integers(1, K + 4))
+        sizes = data.draw(st.lists(st.integers(1, 50), min_size=K, max_size=K))
+        targets = {k: sizes[k] / sum(sizes) for k in range(K)}
+        cap = data.draw(st.floats(1e-2, 1e6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
+        try:
+            plan = ch.solve_aggregation_weights(r, targets, cap)
+        except SchemeError:
+            return
+        tx = plan.transmitters
+        assert tx == sorted(set(tx)) and set(tx) <= set(targets)
+        assert set(plan.amplitudes) == set(tx)
+        for cid in tx:
+            assert plan.amplitudes[cid] ** 2 <= cap
+            assert plan.beam @ r.gains[cid] > ch.GAIN_EPS
+        assert all(v < 1e-9 for v in residuals(r, targets, plan).values())
 
 
 class TestTransmitRoundDigital:
@@ -173,32 +206,37 @@ class TestTransmitRoundOverTheAir:
         sizes = [2, 3, 5]
         total = sum(sizes)
         targets = {k: sizes[k] / total for k in range(K)}
-        m, p, selected, _ = ch.solve_aggregation_weights(r, targets, 1e6)
+        plan = ch.solve_aggregation_weights(r, targets, 1e6)
         vectors = [rng.standard_normal(d) for _ in range(K)]
         entries = make_entries(vectors, sizes)
-        return r, m, p, entries
+        return r, plan, entries
 
     def test_noiseless_matches_weighted_mean(self):
-        r, m, p, entries = self._solved_setup(d=64, sigma=0.0)
+        r, plan, entries = self._solved_setup(d=64, sigma=0.0)
         res = ch.transmit_round(
-            entries, ch.TransportScheme(ch.OVER_THE_AIR), r, p, m,
+            entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan,
             np.random.default_rng(0),
         )
         assert res.aggregation_error < 1e-8
         assert res.channel_uses == 64
+
+    def test_analog_round_needs_a_noise_generator(self):
+        r, plan, entries = self._solved_setup(d=8, sigma=0.1)
+        with pytest.raises(ConfigurationError):
+            ch.transmit_round(entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan)
 
     def test_mse_linear_in_noise_power(self):
         d = 32
         sigmas = [0.01, 0.02, 0.04, 0.08]
         mses = []
         for sigma in sigmas:
-            r, m, p, entries = self._solved_setup(d=d, sigma=sigma)
+            r, plan, entries = self._solved_setup(d=d, sigma=sigma)
             exact = sum(e.size * e.raw for e in entries) / sum(e.size for e in entries)
             rng = np.random.default_rng(1)
             errs = []
             for _ in range(1000):
                 res = ch.transmit_round(
-                    entries, ch.TransportScheme(ch.OVER_THE_AIR), r, p, m, rng
+                    entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan, rng
                 )
                 errs.append(np.mean((res.aggregated - exact) ** 2))
             mses.append(np.mean(errs))
@@ -216,11 +254,9 @@ class TestTransmitRoundCsOverTheAir:
         dense = np.zeros(d)
         dense[3] = 1.5
         r = ch.ChannelRealization(np.array([[1.0]]), 0.0, seed=11)
-        m = ch.Beamformer(np.array([1.0]))
-        p = ch.PowerAllocation({0: 1.0}, cap=1.0)
         entries = make_entries([dense], [1])
         res = ch.transmit_round(
-            entries, ch.TransportScheme(ch.CS_OVER_THE_AIR, m_cs), r, p, m,
+            entries, ch.TransportScheme(ch.CS_OVER_THE_AIR, m_cs), r, unit_plan([1.0], 1),
             np.random.default_rng(0),
         )
         np.testing.assert_allclose(res.aggregated, dense, atol=1e-10)
@@ -242,27 +278,27 @@ class TestTransmitRoundCsOverTheAir:
         rng = np.random.default_rng(8)
         d, m_cs, K, N = 40, 12, 4, 6
         r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0, seed=3)
-        m, p, selected, _ = ch.solve_aggregation_weights(
-            r, {k: 1 / K for k in range(K)}, 1e6
-        )
+        plan = ch.solve_aggregation_weights(r, {k: 1 / K for k in range(K)}, 1e6)
         vectors = []
         for _ in range(K):
             v = np.zeros(d)
             v[rng.choice(d, size=3, replace=False)] = rng.standard_normal(3)
             vectors.append(v)
-        entries = [e for e in make_entries(vectors, [1] * K) if e.client_id in selected]
+        entries = [
+            e for e in make_entries(vectors, [1] * K) if e.client_id in plan.transmitters
+        ]
         captured = []
         monkeypatch.setattr(
             ch, "omp_recover", lambda A, y, sparsity: captured.append(y) or np.zeros(d)
         )
         ch.transmit_round(
-            entries, ch.TransportScheme(ch.CS_OVER_THE_AIR, m_cs), r, p, m,
+            entries, ch.TransportScheme(ch.CS_OVER_THE_AIR, m_cs), r, plan,
             np.random.default_rng(0),
         )
         A = ch.measurement_matrix(d, m_cs, 3)
         expected = sum(
-            float(m.weights @ r.gains[e.client_id])
-            * np.sqrt(p.powers[e.client_id])
+            float(plan.beam @ r.gains[e.client_id])
+            * plan.amplitudes[e.client_id]
             * (A @ e.dense)
             for e in entries
         )
@@ -273,13 +309,11 @@ class TestTransmitRoundCsOverTheAir:
     def test_measurements_must_compress(self):
         dense = np.zeros(4)
         r = ch.ChannelRealization(np.array([[1.0]]), 0.0)
-        m = ch.Beamformer(np.array([1.0]))
-        p = ch.PowerAllocation({0: 1.0}, cap=1.0)
         with pytest.raises(ConfigurationError):
             ch.transmit_round(
                 make_entries([dense], [1]),
                 ch.TransportScheme(ch.CS_OVER_THE_AIR, 4),
-                r, p, m, np.random.default_rng(0),
+                r, unit_plan([1.0], 1), np.random.default_rng(0),
             )
 
 
@@ -415,14 +449,16 @@ class TestMetamorphic:
     def test_noiseless_over_the_air_equals_digital(self, data):
         sizes = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=5))
         K = len(sizes)
-        N = data.draw(st.integers(K, K + 4))
+        N = data.draw(st.integers(1, K + 4))
         d = data.draw(st.integers(1, 16))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
         targets = {k: sizes[k] / sum(sizes) for k in range(K)}
-        m, p, selected, _ = ch.solve_aggregation_weights(r, targets, 1e6)
+        plan = ch.solve_aggregation_weights(r, targets, 1e6)
         vectors = [rng.standard_normal(d) for _ in range(K)]
-        entries = [e for e in make_entries(vectors, sizes) if e.client_id in selected]
-        ota = ch.transmit_round(entries, OTA, r, p, m, np.random.default_rng(0))
+        entries = [
+            e for e in make_entries(vectors, sizes) if e.client_id in plan.transmitters
+        ]
+        ota = ch.transmit_round(entries, OTA, r, plan, np.random.default_rng(0))
         digital = ch.transmit_round(entries, DIGITAL)
         np.testing.assert_allclose(ota.aggregated, digital.aggregated, rtol=0, atol=1e-8)

@@ -35,6 +35,8 @@ def lexsort_topk(g, rho):
 
 # few distinct magnitudes, so ties are common, plus infinities and NaN
 tie_prone = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan])
+# the same pool without infinities, whose arithmetic in the codec warns
+tie_prone_finite = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.nan])
 mixed_vectors = hnp.arrays(
     np.float64,
     st.integers(1, 300),
@@ -281,6 +283,40 @@ class TestEncode:
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.payload_bits == b.payload_bits
+
+    @given(
+        st.lists(
+            hnp.arrays(np.float64, 40, elements=tie_prone_finite | st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 40),
+        st.builds(
+            C.CodecSpec,
+            sparsifier=st.sampled_from(C.SPARSIFIERS),
+            threshold=st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10),
+            keep_fraction=st.just(1.0) | st.floats(0, 1, exclude_min=True),
+            quantizer=st.sampled_from(C.QUANTIZERS),
+            error_feedback=st.booleans(),
+            momentum=st.just(0.0) | st.floats(0, 0.99),
+            clip_norm=st.none() | st.floats(1e-3, 1e3),
+            warmup=st.none()
+            | st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=3).map(tuple),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_payload_indices_sorted_in_range_values_aligned(self, rounds, d, spec):
+        """The invariant every decoder relies on, over a few rounds of one
+        encoder state: int64 indices strictly increasing within [0, d),
+        float64 values of the same length."""
+        state = C.EncoderState.zeros(d)
+        for epoch, g in enumerate(rounds):
+            c = C.encode(g[:d], spec, state, epoch=epoch)
+            assert c.d == d
+            assert c.indices.dtype == np.int64 and c.indices.ndim == 1
+            assert np.all(np.diff(c.indices) > 0)
+            assert c.indices.size == 0 or (c.indices[0] >= 0 and c.indices[-1] < d)
+            assert c.values.dtype == np.float64 and c.values.shape == c.indices.shape
 
 
 def accumulate(payloads, sizes):

@@ -256,9 +256,7 @@ def per_client_synthetic(partition, seed):
     """Oracle: the per-client generator, one fresh array pair per client."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p = partition.n_features
-    w_star = partition.w_star
-    if w_star is None:
-        w_star = rng.standard_normal(p)
+    w_star = rng.standard_normal(p)
     datasets = []
     for n in partition.sizes:
         shift = partition.skew * rng.standard_normal(p)
