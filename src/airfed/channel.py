@@ -102,6 +102,8 @@ def solve_aggregation_weights(
     candidates = sorted(targets)
     tgt = {cid: targets[cid] for cid in candidates}
     ssum = sum(tgt.values())
+    if not all(0 <= v < np.inf for v in tgt.values()):
+        raise ConfigurationError("targets must be finite and >= 0")
     if not candidates or abs(ssum - 1.0) > 1e-9:
         raise ConfigurationError("targets must sum to 1 over candidates")
 

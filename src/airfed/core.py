@@ -204,8 +204,10 @@ def run_round(
 ) -> RoundRecord:
     """Execute one federated round; mutates server and client state.
 
-    `population` is the union of the clients' data, over which the global
-    loss is evaluated."""
+    The round schedules, computes, then transmits: the deadline and the
+    over-the-air plan come first, and a client the plan excludes neither
+    trains nor encodes. `population` is the union of the clients' data,
+    over which the global loss is evaluated."""
     held = sum(c.size for c in clients)
     if population.size != held:
         raise ConfigurationError(
@@ -239,10 +241,42 @@ def run_round(
     )
     by_id = {c.id: c for c in clients}
 
-    # local updates and payload encoding for the participating set
+    # schedule: the deadline and the over-the-air plan read only the delay
+    # stream, the channel, the data sizes and the cap, never a trained model
+    survivors = participants
+    if cfg.deadline is not None:
+        delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
+        survivors = apply_deadline(delays, cfg.deadline)
+        if survivors and len(survivors) < len(participants):
+            rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
+
+    scheme = cfg.scheme
+    plan = None
+    transmitters = survivors
+    if scheme.analog and survivors:
+        total = sum(by_id[cid].size for cid in survivors)
+        targets = {cid: by_id[cid].size / total for cid in survivors}
+        try:
+            plan = ch_mod.solve_aggregation_weights(realization, targets, power_cap)
+        except SchemeError:
+            rec.events.append(
+                "scheme-error: aggregation constraints unsatisfiable, "
+                "falling back to ideal-digital"
+            )
+            scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
+        else:
+            transmitters = plan.transmitters
+    excluded = set(survivors) - set(transmitters)
+    if excluded:
+        rec.events.append("excluded: " + _ids(excluded))
+
+    # compute: every participant the plan keeps trains and encodes;
+    # stragglers do too, and miss the deadline only afterwards
     payloads: dict[int, comp_mod.CompressedGradient] = {}
     raws: dict[int, np.ndarray] = {}
     for cid in participants:
+        if cid in excluded:
+            continue
         c = by_id[cid]
         w_new = models.sgd_local_update(
             model_spec, c.local_params, c.dataset, train_cfg, client_rngs[cid]
@@ -257,35 +291,9 @@ def run_round(
             raw = w_new
         raws[cid] = raw
         payloads[cid] = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
-
-    survivors = participants
-    if cfg.deadline is not None:
-        delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
-        survivors = apply_deadline(delays, cfg.deadline)
-        if not survivors:
-            rec.events.append("protocol-error: all clients missed the deadline")
-            return _finish(rec, server, population, model_spec)
-        if len(survivors) < len(participants):
-            rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
-
-    scheme = cfg.scheme
-    plan = None
-    transmitters = survivors
-    if scheme.analog:
-        total = sum(by_id[cid].size for cid in survivors)
-        targets = {cid: by_id[cid].size / total for cid in survivors}
-        try:
-            plan = ch_mod.solve_aggregation_weights(realization, targets, power_cap)
-        except SchemeError:
-            rec.events.append(
-                "scheme-error: aggregation constraints unsatisfiable, "
-                "falling back to ideal-digital"
-            )
-            scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
-        else:
-            transmitters = plan.transmitters
-            if len(transmitters) < len(survivors):
-                rec.events.append("excluded: " + _ids(set(survivors) - set(transmitters)))
+    if not survivors:
+        rec.events.append("protocol-error: all clients missed the deadline")
+        return _finish(rec, server, population, model_spec)
 
     entries = [
         ch_mod.TransmitEntry(cid, payloads[cid], raws[cid], by_id[cid].size)

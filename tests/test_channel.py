@@ -148,6 +148,15 @@ class TestSolveAggregationWeights:
         with pytest.raises(SchemeError):
             ch.solve_aggregation_weights(r, {0: 1.0}, power_cap=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_non_finite_or_negative_target_rejected(self, bad):
+        # {0: nan, 1: 1.0} and friends must not pass the sum check
+        r = ch.ChannelRealization(np.eye(2), 0.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            ch.solve_aggregation_weights(r, {0: bad, 1: 1.0}, power_cap=1.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            ch.solve_aggregation_weights(r, {0: 1.0 - bad, 1: bad}, power_cap=1.0)
+
     def test_channel_scaling_inverse_power(self):
         rng = np.random.default_rng(5)
         gains = rng.standard_normal((3, 4))

@@ -215,6 +215,71 @@ def run_scenario(text):
     return core.run_training(parse_scenario(text))
 
 
+def traced_rounds(text):
+    """Run a scenario and return it with one dict per round: the record, the
+    ids that trained and that encoded in it, and per-client snapshots of the
+    encoder accumulators, generator state and local parameters before and
+    after it."""
+    sgd, encode, run_round = models.sgd_local_update, C.encode, core.run_round
+    rounds = []
+    current = {}  # client id per dataset and per encoder, and the round's calls
+
+    def snapshot(clients, client_rngs):
+        return {
+            c.id: (
+                c.encoder.momentum.tobytes(),
+                c.encoder.residual.tobytes(),
+                client_rngs[c.id].bit_generator.state,
+                c.local_params.copy(),
+            )
+            for c in clients
+        }
+
+    def spy_sgd(spec, w, data, *args):
+        current["trained"].append(current["by_data"][id(data)])
+        return sgd(spec, w, data, *args)
+
+    def spy_encode(raw, codec, state=None, **kwargs):
+        current["encoded"].append(current["by_encoder"][id(state)])
+        return encode(raw, codec, state, **kwargs)
+
+    def spy_round(server, clients, population, spec, train_cfg, cfg, streams, client_rngs, **kw):
+        current.update(
+            by_data={id(c.dataset): c.id for c in clients},
+            by_encoder={id(c.encoder): c.id for c in clients},
+            trained=[],
+            encoded=[],
+        )
+        before = snapshot(clients, client_rngs)
+        rec = run_round(
+            server, clients, population, spec, train_cfg, cfg, streams, client_rngs, **kw
+        )
+        rounds.append(
+            dict(
+                rec=rec,
+                trained=current["trained"],
+                encoded=current["encoded"],
+                before=before,
+                after=snapshot(clients, client_rngs),
+            )
+        )
+        return rec
+
+    sc = parse_scenario(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "sgd_local_update", spy_sgd)
+        mp.setattr(C, "encode", spy_encode)
+        mp.setattr(core, "run_round", spy_round)
+        core.run_training(sc)
+    return sc, rounds
+
+
+def named(rec, kind):
+    """Client ids an event row of `kind` names in the round, as ints."""
+    ids = [e.split(": ", 1)[1] for e in rec.events if e.startswith(kind + ":")]
+    return {int(cid) for detail in ids for cid in detail.split(";")}
+
+
 class TestRunTraining:
     def test_zero_rounds(self):
         records, ledger = run_scenario("seed = 1\nrounds = 0")
@@ -289,13 +354,25 @@ class TestRunTraining:
 
     def test_deadline_miss_holds_server_params(self):
         text = (
-            "seed = 6\nrounds = 3\nclients = 2\nfeatures = 3\n"
+            "seed = 6\nrounds = 3\nclients = 2\nfeatures = 3\nbatch = 4\n"
             "delay_mean = 10\ndelay_jitter = 1\ndeadline = 0.5"
         )
-        records, _ = run_scenario(text)
-        for rec in records:
+        sc, rounds = traced_rounds(text)
+        records = [r["rec"] for r in rounds]
+        datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
+        for r in rounds:
+            rec = r["rec"]
             assert any("deadline" in e for e in rec.events)
             assert rec.participants == []
+            # every participant trained and encoded, and no broadcast
+            # overwrote what it trained
+            assert r["trained"] == r["encoded"] == [0, 1]
+            for cid, ds in enumerate(datasets):
+                *_, rng_state, w_start = r["before"][cid]
+                rng = np.random.default_rng()
+                rng.bit_generator.state = rng_state
+                w = models.sgd_local_update(sc.model_spec, w_start, ds, sc.train_cfg, rng)
+                np.testing.assert_array_equal(r["after"][cid][3], w)
         # server never moved: loss stays at the w = 0 value
         assert records[0].global_loss == records[-1].global_loss
 
@@ -307,6 +384,54 @@ class TestRunTraining:
         records, _ = run_scenario(text)
         losses = [r.global_loss for r in records]
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+class TestSchedulingBeforeCompute:
+    """The deadline and the over-the-air plan are settled before local
+    training: a client the plan excludes does no local work."""
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 4), extra=st.integers(1, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_excluded_clients_neither_train_nor_encode(self, seed, n, extra):
+        # more clients than antennas: the principal-direction beamformer
+        # leaves out every client it cannot reach
+        text = (
+            f"seed = {seed}\nrounds = 2\nfeatures = 10\nclients = {n + extra}\n"
+            "client_size = 10\nbatch = 4\npayload = gradients\nsparsifier = topk\n"
+            "rho = 0.2\nerror_feedback = true\nscheme = cs-over-the-air\n"
+            f"measurements = 5\nantennas = {n}\npower_cap = 1e6\n"
+        )
+        _, rounds = traced_rounds(text)
+        for r in rounds:
+            excluded = named(r["rec"], "excluded")
+            kept = sorted(set(range(n + extra)) - excluded)
+            assert r["trained"] == r["encoded"] == kept
+            for cid in excluded:
+                # momentum, residual and generator state are bit-equal
+                assert r["after"][cid][:3] == r["before"][cid][:3]
+
+    def test_fallback_round_trains_every_survivor(self):
+        # the cap is too tight for any client: the plan fails, nobody is left out
+        _, rounds = traced_rounds(
+            "seed = 9\nrounds = 3\nclients = 5\nfeatures = 4\npayload = gradients\n"
+            "scheme = over-the-air\nantennas = 4\npower_cap = 1e-6\n",
+        )
+        for r in rounds:
+            assert any(e.startswith("scheme-error") for e in r["rec"].events)
+            assert r["trained"] == r["encoded"] == r["rec"].participants == [0, 1, 2, 3, 4]
+
+    def test_stragglers_still_train_and_encode(self):
+        # each client misses the deadline with probability 1/2
+        _, rounds = traced_rounds(
+            "seed = 9\nrounds = 6\nclients = 5\nfeatures = 4\npayload = gradients\n"
+            "scheme = over-the-air\nantennas = 8\npower_cap = 1e6\n"
+            "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n",
+        )
+        missed = [named(r["rec"], "deadline-miss") for r in rounds]
+        assert any(missed)
+        for r, late in zip(rounds, missed):
+            assert r["trained"] == r["encoded"] == [0, 1, 2, 3, 4]
+            assert late.isdisjoint(r["rec"].participants)
 
 
 class TestFig2Properties:

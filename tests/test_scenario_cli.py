@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,28 @@ class TestCompareCommand:
                 for line in (out / "summary.txt").read_text().splitlines()
             )
             assert float(summary["communication_gain"]) == float(K)
+
+
+WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_benchmark_workload_runs_three_rounds(workload, tmp_path):
+    # a short copy of each benchmark input: a program change that breaks a
+    # workload fails here, before the benchmark runs it
+    text, n = re.subn(r"(?m)^rounds = \d+$", "rounds = 3", workload.read_text())
+    assert n == 1
+    cfg = tmp_path / workload.name
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    with open(out / "rounds.csv", newline="") as fh:
+        assert [r["round"] for r in csv.DictReader(fh)] == ["1", "2", "3"]
+    with open(out / "events.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["round", "kind", "detail"]
+    assert all(r["round"] in {"1", "2", "3"} and r["kind"] and r["detail"] for r in rows)
 
 
 class TestValidateCommand:
