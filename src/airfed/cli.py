@@ -51,14 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, seed_override: int | None) -> Scenario:
-    scenario = load_scenario(path)
-    if seed_override is not None:
-        scenario.seed = seed_override
-        scenario.raw["seed"] = str(seed_override)
-    return scenario
-
-
 def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -133,7 +125,7 @@ def write_round_files(
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args.scenario[0], args.seed)
+    scenario = load_scenario(args.scenario[0], args.seed)
     out = Path(args.out)
     try:
         records, ledger = core.run_training(scenario)
@@ -149,7 +141,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenarios = [_load(p, args.seed) for p in args.scenario]
+    scenarios = [load_scenario(p, args.seed) for p in args.scenario]
     first = scenarios[0]
     for path, sc in zip(args.scenario[1:], scenarios[1:]):
         for key in Scenario.SHARED_KEYS:
@@ -197,7 +189,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _load(args.scenario[0], args.seed)
+    load_scenario(args.scenario[0], args.seed)
     if not args.quiet:
         print(f"{args.scenario[0]}: ok")
     return EXIT_OK

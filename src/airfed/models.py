@@ -61,44 +61,36 @@ class Dataset:
 @dataclass
 class ModelSpec:
     kind: str
-    dim: int
+    n_features: int
     hidden: int = 0
     l2: float = 0.0
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
+        if self.n_features < 1:
+            raise ConfigurationError("n_features must be >= 1")
         if self.l2 < 0:
             raise ConfigurationError("l2 must be >= 0")
-        if self.kind == MLP:
-            if self.hidden < 1:
-                raise ConfigurationError("mlp requires hidden width >= 1")
-        elif self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
+        if self.kind == MLP and self.hidden < 1:
+            raise ConfigurationError("mlp requires hidden width >= 1")
 
-    def n_features(self) -> int:
-        """Feature dimension p implied by the parameter layout."""
+    @property
+    def dim(self) -> int:
         if self.kind == MLP:
             # layout: W1 (hidden, p), b1 (hidden), w2 (hidden), b2 (1)
-            p, rem = divmod(self.dim - 2 * self.hidden - 1, self.hidden)
-            if rem != 0 or p < 1:
-                raise ConfigurationError("mlp dim inconsistent with hidden width")
-            return p
-        return self.dim
-
-    @staticmethod
-    def mlp_dim(p: int, hidden: int) -> int:
-        return hidden * p + 2 * hidden + 1
+            return self.hidden * self.n_features + 2 * self.hidden + 1
+        return self.n_features
 
     def check_dims(self, w: np.ndarray, data: Dataset) -> None:
         if w.shape != (self.dim,):
             raise ConfigurationError(
                 f"parameter vector has length {w.shape}, expected ({self.dim},)"
             )
-        if data.n_features != self.n_features():
+        if data.n_features != self.n_features:
             raise ConfigurationError(
                 f"dataset has {data.n_features} features, model expects "
-                f"{self.n_features()}"
+                f"{self.n_features}"
             )
 
 
@@ -133,7 +125,7 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 
 def _unpack_mlp(spec: ModelSpec, w: np.ndarray):
-    p = spec.n_features()
+    p = spec.n_features
     h = spec.hidden
     o = 0
     W1 = w[o : o + h * p].reshape(h, p)
@@ -241,7 +233,6 @@ def sgd_local_update(
 class PartitionSpec:
     """Synthetic federated data: K clients, sizes, and a ground-truth model."""
 
-    n_clients: int
     sizes: list[int]
     n_features: int
     label_kind: str = "real"  # "real" or "binary"
@@ -249,16 +240,18 @@ class PartitionSpec:
     skew: float = 0.0  # per-client feature-mean shift magnitude
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ConfigurationError("n_clients must be >= 1")
-        if len(self.sizes) != self.n_clients:
-            raise ConfigurationError("sizes must list one entry per client")
+        if not self.sizes:
+            raise ConfigurationError("sizes must list at least one client")
         if any(s < 1 for s in self.sizes):
             raise ConfigurationError("every client size must be >= 1")
         if self.n_features < 1:
             raise ConfigurationError("n_features must be >= 1")
         if self.label_kind not in ("real", "binary"):
             raise ConfigurationError("label_kind must be 'real' or 'binary'")
+
+    @property
+    def n_clients(self) -> int:
+        return len(self.sizes)
 
 
 def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:

@@ -22,13 +22,8 @@ class Scenario:
     partition: models.PartitionSpec
     train_cfg: models.TrainConfig
     round_cfg: core.RoundConfig
-    n_antennas: int
-    noise_std: float
-    power_cap: float
     rounds: int
     seed: int
-    delay_mean: float
-    delay_jitter: float
     loss_threshold: float | None
     raw: dict[str, str] = field(default_factory=dict)
 
@@ -111,6 +106,9 @@ _RELEVANT_ONLY_WITH = {
     "hidden": "model = mlp",
     "tau": "sparsifier = threshold",
     "measurements": "scheme = cs-over-the-air",
+    "rho": "sparsifier = topk",
+    "warmup": "sparsifier = topk",
+    "momentum": "error_feedback = true",
 }
 
 
@@ -163,8 +161,9 @@ def _build(what: str, cls, *args, **kwargs):
         raise ScenarioError(f"invalid {what} configuration: {exc}") from None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse UTF-8 `key = value` lines with `#` comments into a Scenario."""
+def parse_scenario(text: str, seed: int | None = None) -> Scenario:
+    """Parse UTF-8 `key = value` lines with `#` comments into a Scenario.
+    A given `seed` replaces the file's seed and is checked like it."""
     kv = dict(_DEFAULTS)
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -182,23 +181,26 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: duplicate key `{key}`")
         kv[key] = value
         raw[key] = value
+    if seed is not None:
+        kv["seed"] = raw["seed"] = str(seed)
 
     seed = _as_int(kv, "seed", lo=0)
     rounds = _as_int(kv, "rounds", lo=0)
     kind = _as_choice(kv, "model", models.MODEL_KINDS)
     sparsifier = _as_choice(kv, "sparsifier", comp_mod.SPARSIFIERS)
     scheme_kind = _as_choice(kv, "scheme", ch_mod.SCHEMES)
+    error_feedback = _as_bool(kv, "error_feedback")
     # only keys written in the file count, not their defaults
     active = {f"model = {kind}", f"sparsifier = {sparsifier}", f"scheme = {scheme_kind}"}
+    active.add(f"error_feedback = {str(error_feedback).lower()}")
     for key, setting in _RELEVANT_ONLY_WITH.items():
         _need(key not in raw or setting in active, key, f"only applies with {setting}")
 
     p = _as_int(kv, "features", lo=1)
     hidden = _as_int(kv, "hidden", lo=1)
     l2 = _as_float(kv, "l2", lo=0.0)
-    dim = models.ModelSpec.mlp_dim(p, hidden) if kind == models.MLP else p
     model_spec = _build(
-        "model", models.ModelSpec, kind, dim, hidden if kind == models.MLP else 0, l2
+        "model", models.ModelSpec, kind, p, hidden if kind == models.MLP else 0, l2
     )
 
     n_clients = _as_int(kv, "clients", lo=1)
@@ -217,7 +219,6 @@ def parse_scenario(text: str) -> Scenario:
     partition = _build(
         "partition",
         models.PartitionSpec,
-        n_clients=n_clients,
         sizes=sizes,
         n_features=p,
         label_kind="binary" if kind == models.LOGISTIC else "real",
@@ -255,7 +256,7 @@ def parse_scenario(text: str) -> Scenario:
         threshold=_as_float(kv, "tau", lo=0.0),
         keep_fraction=rho,
         quantizer=_as_choice(kv, "quantizer", comp_mod.QUANTIZERS),
-        error_feedback=_as_bool(kv, "error_feedback"),
+        error_feedback=error_feedback,
         momentum=_as_float(kv, "momentum", lo=0.0),
         clip_norm=clip,
         warmup=warmup,
@@ -265,7 +266,7 @@ def parse_scenario(text: str) -> Scenario:
     if scheme_kind == ch_mod.CS_OVER_THE_AIR:
         _need(measurements >= 1, "measurements", "required for cs-over-the-air")
         _need(
-            measurements < dim,
+            measurements < model_spec.dim,
             "measurements",
             "must be < model dimension (no compression achieved)",
         )
@@ -291,6 +292,11 @@ def parse_scenario(text: str) -> Scenario:
         selection=_as_choice(kv, "selection", core.SELECTIONS),
         scheme=scheme,
         codec=codec,
+        n_antennas=_as_int(kv, "antennas", lo=1),
+        noise_std=_as_float(kv, "sigma", lo=0.0),
+        power_cap=_as_float(kv, "power_cap", lo=0.0, strict=True),
+        delay_mean=_as_float(kv, "delay_mean", lo=0.0),
+        delay_jitter=_as_float(kv, "delay_jitter", lo=0.0),
     )
 
     loss_threshold = (
@@ -302,18 +308,13 @@ def parse_scenario(text: str) -> Scenario:
         partition=partition,
         train_cfg=train_cfg,
         round_cfg=round_cfg,
-        n_antennas=_as_int(kv, "antennas", lo=1),
-        noise_std=_as_float(kv, "sigma", lo=0.0),
-        power_cap=_as_float(kv, "power_cap", lo=0.0, strict=True),
         rounds=rounds,
         seed=seed,
-        delay_mean=_as_float(kv, "delay_mean", lo=0.0),
-        delay_jitter=_as_float(kv, "delay_jitter", lo=0.0),
         loss_threshold=loss_threshold,
         raw=raw,
     )
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, seed: int | None = None) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        return parse_scenario(fh.read(), seed)

@@ -28,15 +28,15 @@ def centralized_gd(spec, datasets, mu, rounds, w0=None):
 
 def one_round(spec, datasets, w, mu, payload_mode):
     """Server parameters after one full-participation round of run_round from w."""
+    streams = core.RngStreams(0)
     clients = [
-        core.ClientState(k, d, w.copy(), C.EncoderState.zeros(spec.dim))
+        core.ClientState(k, d, w.copy(), C.EncoderState.zeros(spec.dim), streams.client(k))
         for k, d in enumerate(datasets)
     ]
     population = models.Dataset(
         np.vstack([d.features for d in datasets]),
         np.concatenate([d.labels for d in datasets]),
     )
-    streams = core.RngStreams(0)
     server = core.ServerState(w.copy())
     core.run_round(
         server,
@@ -46,7 +46,6 @@ def one_round(spec, datasets, w, mu, payload_mode):
         models.TrainConfig(step_size=mu, local_steps=1),
         core.RoundConfig(payload_mode=payload_mode),
         streams,
-        {c.id: streams.client(c.id) for c in clients},
     )
     return server.params
 
@@ -121,8 +120,10 @@ class TestAggregateGradients:
     def test_population_must_hold_every_client_row(self):
         spec = models.ModelSpec(models.LINEAR, 2)
         data = models.Dataset(np.ones((3, 2)), np.zeros(3))
-        clients = [core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2))]
         streams = core.RngStreams(0)
+        clients = [
+            core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(0))
+        ]
         with pytest.raises(ConfigurationError, match="population has 2 rows"):
             core.run_round(
                 core.ServerState(np.zeros(2)),
@@ -132,7 +133,6 @@ class TestAggregateGradients:
                 models.TrainConfig(step_size=0.1),
                 core.RoundConfig(),
                 streams,
-                {0: streams.client(0)},
             )
 
 
@@ -173,42 +173,24 @@ class TestApplyDeadline:
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_delay_model_range(self):
-        clients = [
-            core.ClientState(
-                id=0,
-                dataset=models.Dataset(np.ones((1, 1)), np.zeros(1)),
-                local_params=np.zeros(1),
-                encoder=C.EncoderState.zeros(1),
-                delay_mean=2.0,
-                delay_jitter=0.5,
-            )
-        ]
         for seed in range(20):
-            d = core.sample_delays(clients, np.random.default_rng(seed))[0]
+            d = core.sample_delays([0], 2.0, 0.5, np.random.default_rng(seed))[0]
             assert 1.5 <= d <= 2.5
 
     @given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_delays_equal_sequential_scalar_draws(self, n, seed):
         rng = np.random.default_rng(seed)
-        clients = [
-            core.ClientState(
-                id=k,
-                dataset=models.Dataset(np.ones((1, 1)), np.zeros(1)),
-                local_params=np.zeros(1),
-                encoder=C.EncoderState.zeros(1),
-                delay_mean=float(rng.uniform(0, 2)),
-                delay_jitter=float(rng.uniform(0, 2)),
-            )
-            for k in range(n)
-        ]
+        mean, jitter = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
+        client_ids = list(range(n))
         # oracle: one scalar draw per client, in list order
         scalar = np.random.default_rng(seed + 1)
         expected = {
-            c.id: max(0.0, c.delay_mean + c.delay_jitter * float(scalar.uniform(-1.0, 1.0)))
-            for c in clients
+            cid: max(0.0, mean + jitter * float(scalar.uniform(-1.0, 1.0)))
+            for cid in client_ids
         }
-        assert core.sample_delays(clients, np.random.default_rng(seed + 1)) == expected
+        rng = np.random.default_rng(seed + 1)
+        assert core.sample_delays(client_ids, mean, jitter, rng) == expected
 
 
 def run_scenario(text):
@@ -224,12 +206,12 @@ def traced_rounds(text):
     rounds = []
     current = {}  # client id per dataset and per encoder, and the round's calls
 
-    def snapshot(clients, client_rngs):
+    def snapshot(clients):
         return {
             c.id: (
                 c.encoder.momentum.tobytes(),
                 c.encoder.residual.tobytes(),
-                client_rngs[c.id].bit_generator.state,
+                c.rng.bit_generator.state,
                 c.local_params.copy(),
             )
             for c in clients
@@ -243,24 +225,22 @@ def traced_rounds(text):
         current["encoded"].append(current["by_encoder"][id(state)])
         return encode(raw, codec, state, **kwargs)
 
-    def spy_round(server, clients, population, spec, train_cfg, cfg, streams, client_rngs, **kw):
+    def spy_round(server, clients, population, spec, train_cfg, cfg, streams):
         current.update(
             by_data={id(c.dataset): c.id for c in clients},
             by_encoder={id(c.encoder): c.id for c in clients},
             trained=[],
             encoded=[],
         )
-        before = snapshot(clients, client_rngs)
-        rec = run_round(
-            server, clients, population, spec, train_cfg, cfg, streams, client_rngs, **kw
-        )
+        before = snapshot(clients)
+        rec = run_round(server, clients, population, spec, train_cfg, cfg, streams)
         rounds.append(
             dict(
                 rec=rec,
                 trained=current["trained"],
                 encoded=current["encoded"],
                 before=before,
-                after=snapshot(clients, client_rngs),
+                after=snapshot(clients),
             )
         )
         return rec

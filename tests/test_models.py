@@ -27,7 +27,7 @@ def finite_difference_gradient(spec, w, batch, h=1e-6):
 def random_spec_and_data(kind, rng, n=12, p=4, l2=0.0):
     if kind == models.MLP:
         hidden = 3
-        spec = models.ModelSpec(kind, models.ModelSpec.mlp_dim(p, hidden), hidden, l2)
+        spec = models.ModelSpec(kind, p, hidden, l2)
     else:
         spec = models.ModelSpec(kind, p, 0, l2)
     X = rng.standard_normal((n, p))
@@ -58,6 +58,11 @@ class TestLocalLoss:
         assert models.local_loss(spec, np.array([1.0, -1.0]), data) == pytest.approx(
             expected, rel=1e-14
         )
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_no_features_rejected_at_construction(self, kind):
+        with pytest.raises(ConfigurationError, match="n_features"):
+            models.ModelSpec(kind, 0, 3)
 
     def test_dimension_mismatch(self):
         spec = models.ModelSpec(models.LINEAR, 3)
@@ -272,12 +277,12 @@ def per_client_synthetic(partition, seed):
 
 class TestMakeSynthetic:
     def test_single_client(self):
-        part = models.PartitionSpec(1, [17], 3)
+        part = models.PartitionSpec([17], 3)
         (ds,) = models.make_synthetic(part, seed=0).split(part.sizes)
         assert ds.size == 17 and ds.n_features == 3
 
     def test_same_seed_identical(self):
-        part = models.PartitionSpec(3, [5, 6, 7], 4, label_kind="binary")
+        part = models.PartitionSpec([5, 6, 7], 4, label_kind="binary")
         a = models.make_synthetic(part, seed=9)
         b = models.make_synthetic(part, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
@@ -285,7 +290,7 @@ class TestMakeSynthetic:
 
     def test_zero_skew_means_close_to_zero(self):
         n = 4000
-        part = models.PartitionSpec(3, [n] * 3, 5, skew=0.0)
+        part = models.PartitionSpec([n] * 3, 5, skew=0.0)
         datasets = models.make_synthetic(part, seed=11).split(part.sizes)
         for ds in datasets:
             means = ds.features.mean(axis=0)
@@ -296,7 +301,7 @@ class TestMakeSynthetic:
     @pytest.mark.parametrize("sizes", [[9, 9, 9], [1, 13, 4, 7]])
     def test_pooled_equals_per_client_generator(self, sizes, skew, label_kind):
         part = models.PartitionSpec(
-            len(sizes), sizes, 6, label_kind=label_kind, noise_std=0.3, skew=skew
+            sizes, 6, label_kind=label_kind, noise_std=0.3, skew=skew
         )
         population = models.make_synthetic(part, seed=21)
         views = population.split(sizes)
@@ -308,7 +313,7 @@ class TestMakeSynthetic:
         assert population.size == sum(sizes)
 
     def test_population_is_read_only(self):
-        part = models.PartitionSpec(2, [3, 4], 2)
+        part = models.PartitionSpec([3, 4], 2)
         population = models.make_synthetic(part, seed=1)
         first, _ = population.split(part.sizes)
         for arr in (population.features, population.labels, first.features, first.labels):
@@ -316,12 +321,12 @@ class TestMakeSynthetic:
                 arr[0] = 1.0
 
     def test_split_sizes_must_cover_the_rows(self):
-        part = models.PartitionSpec(2, [3, 4], 2)
+        part = models.PartitionSpec([3, 4], 2)
         with pytest.raises(ConfigurationError):
             models.make_synthetic(part, seed=1).split([3, 3])
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ConfigurationError):
-            models.PartitionSpec(0, [], 3)
+            models.PartitionSpec([], 3)
         with pytest.raises(ConfigurationError):
-            models.PartitionSpec(2, [5, 0], 3)
+            models.PartitionSpec([5, 0], 3)

@@ -84,7 +84,17 @@ class TestParseScenario:
 
     def test_mlp_dimension_derived(self):
         sc = parse_scenario("model = mlp\nfeatures = 4\nhidden = 3")
+        assert sc.model_spec.n_features == 4
         assert sc.model_spec.dim == 3 * 4 + 2 * 3 + 1
+
+    def test_channel_and_delay_settings_reach_round_cfg(self):
+        sc = parse_scenario(
+            "scheme = over-the-air\npayload = gradients\nantennas = 4\nsigma = 0.3\n"
+            "power_cap = 2.5\ndeadline = 1\ndelay_mean = 0.7\ndelay_jitter = 0.2"
+        )
+        cfg = sc.round_cfg
+        assert (cfg.n_antennas, cfg.noise_std, cfg.power_cap) == (4, 0.3, 2.5)
+        assert (cfg.deadline, cfg.delay_mean, cfg.delay_jitter) == (1.0, 0.7, 0.2)
 
     @pytest.mark.parametrize(
         "text",
@@ -111,11 +121,19 @@ class TestParseScenario:
             ("sparsifier = topk\ntau = 0.5", "tau"),
             ("scheme = over-the-air\npayload = gradients\nmeasurements = 4", "measurements"),
             ("model = logistic\nhidden = 4", "hidden"),
+            ("rho = 0.5", "rho"),
+            ("sparsifier = threshold\nwarmup = 0.5", "warmup"),
+            ("error_feedback = off\nmomentum = 0.9", "momentum"),
         ],
     )
     def test_irrelevant_key_rejected(self, text, key):
         with pytest.raises(ScenarioError, match=f"`{key}`: only applies with"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("spelling", ["true", "on", "1", "TRUE"])
+    def test_momentum_applies_under_every_error_feedback_spelling(self, spelling):
+        sc = parse_scenario(f"error_feedback = {spelling}\nmomentum = 0.9")
+        assert sc.round_cfg.codec.momentum == 0.9
 
     def test_defaults_of_irrelevant_keys_are_not_counted(self):
         sc = parse_scenario("model = linear\nsparsifier = topk\nrho = 0.5")
@@ -301,6 +319,15 @@ class TestRunCommand:
             tmp_path / "b" / "rounds.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    def test_seed_override_obeys_the_seed_rule(self, command, tmp_path, capsys):
+        f = tmp_path / "s.cfg"
+        f.write_text(BASE)
+        out = tmp_path / "out"
+        assert run_cli([command, str(f), "--seed", "-1", "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: invalid value for `seed`: must be >= 0\n"
+        assert not out.exists()
+
     def test_bad_scenario_exits_one(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("mu = -5")
@@ -386,13 +413,15 @@ class TestCompareCommand:
             assert float(summary["communication_gain"]) == float(K)
 
 
-WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.cfg"))
+ROOT = Path(__file__).parents[1]
+WORKLOADS = sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))
+DEMOS = sorted((ROOT / "scenarios").glob("*.cfg"))
 
 
-@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("workload", WORKLOADS + DEMOS, ids=lambda p: p.stem)
 def test_benchmark_workload_runs_three_rounds(workload, tmp_path):
-    # a short copy of each benchmark input: a program change that breaks a
-    # workload fails here, before the benchmark runs it
+    # a short copy of each benchmark input and demo scenario: a program
+    # change that breaks one fails here, before the benchmark or a user runs it
     text, n = re.subn(r"(?m)^rounds = \d+$", "rounds = 3", workload.read_text())
     assert n == 1
     cfg = tmp_path / workload.name
