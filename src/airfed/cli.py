@@ -98,8 +98,8 @@ def write_summary(
     base_uses = baseline_uses(
         [r.round_index for r in records],
         scenario.round_cfg.period,
-        scenario.n_clients,
-        scenario.dim,
+        scenario.partition.n_clients,
+        scenario.model_spec.dim,
     )
     gain = _fmt_gain(communication_gain(base_uses, ledger.total_uses))
     lines = [
@@ -143,12 +143,12 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     scenarios = [load_scenario(p, args.seed) for p in args.scenario]
     first = scenarios[0]
+    # the parsed problem must agree, however each file spells it
     for path, sc in zip(args.scenario[1:], scenarios[1:]):
-        for key in Scenario.SHARED_KEYS:
-            if sc.raw.get(key, "") != first.raw.get(key, ""):
+        for name in ("model_spec", "partition", "train_cfg", "rounds", "seed"):
+            if getattr(sc, name) != getattr(first, name):
                 raise AirfedError(
-                    f"scenario {path} differs from {args.scenario[0]} "
-                    f"on shared key `{key}`"
+                    f"scenario {path} differs from {args.scenario[0]} in `{name}`"
                 )
     threshold = first.loss_threshold
     rows = []

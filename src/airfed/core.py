@@ -74,6 +74,15 @@ class RoundConfig:
             raise ConfigurationError(
                 "analog transport requires payload_mode = gradients"
             )
+        if self.n_antennas < 1:
+            raise ConfigurationError("n_antennas must be >= 1")
+        if not (0 < self.power_cap < math.inf):
+            raise ConfigurationError("power_cap must be finite and > 0")
+        for name in ("noise_std", "delay_mean", "delay_jitter"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
+        if self.deadline is not None and not (0 <= self.deadline < math.inf):
+            raise ConfigurationError("deadline must be None or finite and >= 0")
 
 
 @dataclass

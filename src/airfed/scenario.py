@@ -1,14 +1,14 @@
 """Flat `key = value` scenario files and their validated in-memory form.
 
 Unknown keys are rejected (no silent defaults for misspellings), and so are
-keys written where they cannot apply; every omitted key falls back to the
-documented default below. Every invalid file raises ScenarioError.
+keys written where they cannot apply; every omitted key falls back to its
+default in `_KEYS`. Every invalid file raises ScenarioError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import channel as ch_mod
 from . import compression as comp_mod
@@ -25,72 +25,6 @@ class Scenario:
     rounds: int
     seed: int
     loss_threshold: float | None
-    raw: dict[str, str] = field(default_factory=dict)
-
-    # keys that must agree across scenarios in a comparison
-    SHARED_KEYS = (
-        "model",
-        "features",
-        "hidden",
-        "l2",
-        "clients",
-        "client_size",
-        "sizes",
-        "skew",
-        "label_noise",
-        "seed",
-        "rounds",
-        "mu",
-        "batch",
-        "local_steps",
-    )
-
-    @property
-    def n_clients(self) -> int:
-        return self.partition.n_clients
-
-    @property
-    def dim(self) -> int:
-        return self.model_spec.dim
-
-
-_DEFAULTS = {
-    "seed": "0",
-    "rounds": "10",
-    "model": "logistic",
-    "features": "10",
-    "hidden": "8",
-    "l2": "0.0",
-    "clients": "4",
-    "client_size": "50",
-    "sizes": "",
-    "skew": "0.0",
-    "label_noise": "0.0",
-    "mu": "0.1",
-    "batch": "full",
-    "local_steps": "1",
-    "payload": "weights",
-    "period": "1",
-    "deadline": "none",
-    "participation": "1.0",
-    "selection": "random",
-    "delay_mean": "0.0",
-    "delay_jitter": "0.0",
-    "sparsifier": "none",
-    "tau": "0.0",
-    "rho": "1.0",
-    "quantizer": "none",
-    "error_feedback": "false",
-    "momentum": "0.0",
-    "clip": "none",
-    "warmup": "",
-    "scheme": "ideal-digital",
-    "antennas": "1",
-    "sigma": "0.0",
-    "power_cap": "1.0",
-    "measurements": "0",
-    "loss_threshold": "none",
-}
 
 
 class ScenarioError(ConfigurationError):
@@ -101,56 +35,129 @@ class ScenarioError(ConfigurationError):
 # from building a size list of billions of entries for a mistyped count.
 MAX_CLIENTS = 10**6
 
-# keys that mean something only under one setting of another key
-_RELEVANT_ONLY_WITH = {
-    "hidden": "model = mlp",
-    "tau": "sparsifier = threshold",
-    "measurements": "scheme = cs-over-the-air",
-    "rho": "sparsifier = topk",
-    "warmup": "sparsifier = topk",
-    "momentum": "error_feedback = true",
-}
+
+def _invalid(key: str, message: str) -> ScenarioError:
+    return ScenarioError(f"invalid value for `{key}`: {message}")
 
 
-def _need(cond: bool, key: str, message: str) -> None:
-    if not cond:
-        raise ScenarioError(f"invalid value for `{key}`: {message}")
+def _number(kind, lo=None, hi=None, strict=False):
+    """An int, or a finite float, within [lo, hi] ((lo, hi] if strict)."""
+
+    def rule(key, text):
+        try:
+            v = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise _invalid(key, f"expected {what}") from None
+        if kind is float and not math.isfinite(v):
+            raise _invalid(key, "expected a finite number")
+        if lo is not None and (v <= lo if strict else v < lo):
+            raise _invalid(key, f"must be {'>' if strict else '>='} {lo}")
+        if hi is not None and v > hi:
+            raise _invalid(key, f"must be <= {hi}")
+        return v
+
+    return rule
 
 
-def _as_int(kv: dict, key: str, lo: int | None = None) -> int:
-    try:
-        v = int(kv[key])
-    except ValueError:
-        raise ScenarioError(f"invalid value for `{key}`: expected an integer") from None
-    if lo is not None:
-        _need(v >= lo, key, f"must be >= {lo}")
-    return v
+def _or(word, value, rule):
+    """`word` stands for `value`; any other text goes to `rule`."""
+    return lambda key, text: value if text == word else rule(key, text)
 
 
-def _as_float(kv: dict, key: str, lo: float | None = None, strict: bool = False) -> float:
-    try:
-        v = float(kv[key])
-    except ValueError:
-        raise ScenarioError(f"invalid value for `{key}`: expected a number") from None
-    _need(math.isfinite(v), key, "expected a finite number")
-    if lo is not None:
-        if strict:
-            _need(v > lo, key, f"must be > {lo}")
-        else:
-            _need(v >= lo, key, f"must be >= {lo}")
-    return v
+def _listed(kind, what):
+    """Comma-separated values of `kind` as a tuple."""
+
+    def rule(key, text):
+        try:
+            return tuple(kind(s) for s in text.split(","))
+        except ValueError:
+            raise _invalid(key, f"expected comma-separated {what}") from None
+
+    return rule
 
 
-def _as_bool(kv: dict, key: str) -> bool:
-    v = kv[key].lower()
-    _need(v in ("true", "false", "on", "off", "1", "0"), key, "expected a boolean")
+def _choice(options):
+    def rule(key, text):
+        if text not in options:
+            raise _invalid(key, f"must be one of {', '.join(options)}")
+        return text
+
+    return rule
+
+
+def _flag(key, text):
+    v = text.lower()
+    if v not in ("true", "false", "on", "off", "1", "0"):
+        raise _invalid(key, "expected a boolean")
     return v in ("true", "on", "1")
 
 
-def _as_choice(kv: dict, key: str, choices: tuple[str, ...]) -> str:
-    v = kv[key]
-    _need(v in choices, key, f"must be one of {', '.join(choices)}")
-    return v
+# every key: its default text and the rule that turns (key, text) into the
+# key's value or raises a ScenarioError naming the key
+_KEYS = {
+    "seed": ("0", _number(int, lo=0)),
+    "rounds": ("10", _number(int, lo=0)),
+    "model": ("logistic", _choice(models.MODEL_KINDS)),
+    "features": ("10", _number(int, lo=1)),
+    "hidden": ("8", _number(int, lo=1)),
+    "l2": ("0.0", _number(float, lo=0.0)),
+    "clients": ("4", _number(int, lo=1, hi=MAX_CLIENTS)),
+    "client_size": ("50", _number(int, lo=1)),
+    "sizes": ("", _or("", None, _listed(int, "integers"))),
+    "skew": ("0.0", _number(float, lo=0.0)),
+    "label_noise": ("0.0", _number(float, lo=0.0)),
+    "mu": ("0.1", _number(float, lo=0.0)),
+    "batch": ("full", _or("full", "full", _number(int, lo=1))),
+    "local_steps": ("1", _number(int, lo=1)),
+    "payload": ("weights", _choice(core.PAYLOAD_MODES)),
+    "period": ("1", _number(int, lo=1)),
+    "deadline": ("none", _or("none", None, _number(float, lo=0.0))),
+    "participation": ("1.0", _number(float, lo=0.0, hi=1, strict=True)),
+    "selection": ("random", _choice(core.SELECTIONS)),
+    "delay_mean": ("0.0", _number(float, lo=0.0)),
+    "delay_jitter": ("0.0", _number(float, lo=0.0)),
+    "sparsifier": ("none", _choice(comp_mod.SPARSIFIERS)),
+    "tau": ("0.0", _number(float, lo=0.0)),
+    "rho": ("1.0", _number(float, lo=0.0, hi=1, strict=True)),
+    "quantizer": ("none", _choice(comp_mod.QUANTIZERS)),
+    "error_feedback": ("false", _flag),
+    "momentum": ("0.0", _number(float, lo=0.0)),
+    "clip": ("none", _or("none", None, _number(float, lo=0.0, strict=True))),
+    "warmup": ("", _or("", None, _listed(float, "fractions"))),
+    "scheme": ("ideal-digital", _choice(ch_mod.SCHEMES)),
+    "antennas": ("1", _number(int, lo=1)),
+    "sigma": ("0.0", _number(float, lo=0.0)),
+    "power_cap": ("1.0", _number(float, lo=0.0, strict=True)),
+    "measurements": ("0", _number(int, lo=0)),
+    "loss_threshold": ("none", _or("none", None, _number(float))),
+}
+
+
+def _when(key, *values):
+    """(description, test) of a setting: `key` holds one of `values`."""
+    return f"{key} = {' or '.join(values)}", lambda v: v[key] in values
+
+
+_ANALOG = (ch_mod.OVER_THE_AIR, ch_mod.CS_OVER_THE_AIR)
+
+# keys that mean something only where a test on the converted values holds
+_RELEVANT_ONLY_WITH = {
+    "hidden": _when("model", models.MLP),
+    "tau": _when("sparsifier", comp_mod.SPARSIFIER_THRESHOLD),
+    "measurements": _when("scheme", ch_mod.CS_OVER_THE_AIR),
+    "rho": _when("sparsifier", comp_mod.SPARSIFIER_TOPK),
+    "warmup": _when("sparsifier", comp_mod.SPARSIFIER_TOPK),
+    "momentum": ("error_feedback = true", lambda v: v["error_feedback"]),
+    "sigma": _when("scheme", *_ANALOG),
+    "power_cap": _when("scheme", *_ANALOG),
+    "antennas": (
+        "scheme = over-the-air or cs-over-the-air, or selection = channel",
+        lambda v: v["scheme"] in _ANALOG or v["selection"] == core.SELECT_CHANNEL,
+    ),
+    "delay_mean": ("a deadline", lambda v: v["deadline"] is not None),
+    "delay_jitter": ("a deadline", lambda v: v["deadline"] is not None),
+}
 
 
 def _build(what: str, cls, *args, **kwargs):
@@ -164,8 +171,7 @@ def _build(what: str, cls, *args, **kwargs):
 def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     """Parse UTF-8 `key = value` lines with `#` comments into a Scenario.
     A given `seed` replaces the file's seed and is checked like it."""
-    kv = dict(_DEFAULTS)
-    raw: dict[str, str] = {}
+    written: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -174,144 +180,83 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected `key = value`")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ScenarioError(f"line {lineno}: unknown key `{key}`")
-        if key in raw:
+        if key in written:
             raise ScenarioError(f"line {lineno}: duplicate key `{key}`")
-        kv[key] = value
-        raw[key] = value
+        written[key] = value.strip()
     if seed is not None:
-        kv["seed"] = raw["seed"] = str(seed)
+        written["seed"] = str(seed)
 
-    seed = _as_int(kv, "seed", lo=0)
-    rounds = _as_int(kv, "rounds", lo=0)
-    kind = _as_choice(kv, "model", models.MODEL_KINDS)
-    sparsifier = _as_choice(kv, "sparsifier", comp_mod.SPARSIFIERS)
-    scheme_kind = _as_choice(kv, "scheme", ch_mod.SCHEMES)
-    error_feedback = _as_bool(kv, "error_feedback")
+    v = {k: rule(k, written.get(k, default)) for k, (default, rule) in _KEYS.items()}
     # only keys written in the file count, not their defaults
-    active = {f"model = {kind}", f"sparsifier = {sparsifier}", f"scheme = {scheme_kind}"}
-    active.add(f"error_feedback = {str(error_feedback).lower()}")
-    for key, setting in _RELEVANT_ONLY_WITH.items():
-        _need(key not in raw or setting in active, key, f"only applies with {setting}")
+    for key, (setting, applies) in _RELEVANT_ONLY_WITH.items():
+        if key in written and not applies(v):
+            raise _invalid(key, f"only applies with {setting}")
 
-    p = _as_int(kv, "features", lo=1)
-    hidden = _as_int(kv, "hidden", lo=1)
-    l2 = _as_float(kv, "l2", lo=0.0)
-    model_spec = _build(
-        "model", models.ModelSpec, kind, p, hidden if kind == models.MLP else 0, l2
-    )
+    kind = v["model"]
+    hidden = v["hidden"] if kind == models.MLP else 0
+    model_spec = _build("model", models.ModelSpec, kind, v["features"], hidden, v["l2"])
 
-    n_clients = _as_int(kv, "clients", lo=1)
-    _need(n_clients <= MAX_CLIENTS, "clients", f"must be <= {MAX_CLIENTS}")
-    if kv["sizes"]:
-        try:
-            sizes = [int(s) for s in kv["sizes"].split(",")]
-        except ValueError:
-            raise ScenarioError(
-                "invalid value for `sizes`: expected comma-separated integers"
-            ) from None
-        _need(len(sizes) == n_clients, "sizes", "must list one size per client")
-        _need(all(s >= 1 for s in sizes), "sizes", "every size must be >= 1")
-    else:
-        sizes = [_as_int(kv, "client_size", lo=1)] * n_clients
+    sizes = v["sizes"] or (v["client_size"],) * v["clients"]
+    if len(sizes) != v["clients"]:
+        raise _invalid("sizes", "must list one size per client")
+    if min(sizes) < 1:
+        raise _invalid("sizes", "every size must be >= 1")
     partition = _build(
         "partition",
         models.PartitionSpec,
-        sizes=sizes,
-        n_features=p,
+        sizes=list(sizes),
+        n_features=v["features"],
         label_kind="binary" if kind == models.LOGISTIC else "real",
-        noise_std=_as_float(kv, "label_noise", lo=0.0),
-        skew=_as_float(kv, "skew", lo=0.0),
+        noise_std=v["label_noise"],
+        skew=v["skew"],
     )
 
-    mu = _as_float(kv, "mu", lo=0.0)
-    batch: int | str = kv["batch"]
-    if batch != "full":
-        batch = _as_int(kv, "batch", lo=1)
     train_cfg = _build(
-        "training",
-        models.TrainConfig,
-        step_size=mu,
-        batch_size=batch,
-        local_steps=_as_int(kv, "local_steps", lo=1),
+        "training", models.TrainConfig, v["mu"], v["batch"], v["local_steps"]
     )
 
-    warmup = None
-    if kv["warmup"]:
-        try:
-            warmup = tuple(float(s) for s in kv["warmup"].split(","))
-        except ValueError:
-            raise ScenarioError(
-                "invalid value for `warmup`: expected comma-separated fractions"
-            ) from None
-    clip = None if kv["clip"] == "none" else _as_float(kv, "clip", lo=0.0, strict=True)
-    rho = _as_float(kv, "rho", lo=0.0, strict=True)
-    _need(rho <= 1.0, "rho", "must be <= 1")
     codec = _build(
         "codec",
         comp_mod.CodecSpec,
-        sparsifier=sparsifier,
-        threshold=_as_float(kv, "tau", lo=0.0),
-        keep_fraction=rho,
-        quantizer=_as_choice(kv, "quantizer", comp_mod.QUANTIZERS),
-        error_feedback=error_feedback,
-        momentum=_as_float(kv, "momentum", lo=0.0),
-        clip_norm=clip,
-        warmup=warmup,
+        sparsifier=v["sparsifier"],
+        threshold=v["tau"],
+        keep_fraction=v["rho"],
+        quantizer=v["quantizer"],
+        error_feedback=v["error_feedback"],
+        momentum=v["momentum"],
+        clip_norm=v["clip"],
+        warmup=v["warmup"],
     )
 
-    measurements = _as_int(kv, "measurements", lo=0)
-    if scheme_kind == ch_mod.CS_OVER_THE_AIR:
-        _need(measurements >= 1, "measurements", "required for cs-over-the-air")
-        _need(
-            measurements < model_spec.dim,
-            "measurements",
-            "must be < model dimension (no compression achieved)",
-        )
-    scheme = _build(
-        "transport",
-        ch_mod.TransportScheme,
-        scheme_kind,
-        measurements if scheme_kind == ch_mod.CS_OVER_THE_AIR else None,
-    )
+    # `measurements` is 0 unless the scheme is cs-over-the-air (checked above)
+    m = v["measurements"]
+    if v["scheme"] == ch_mod.CS_OVER_THE_AIR and m < 1:
+        raise _invalid("measurements", "required for cs-over-the-air")
+    if m >= model_spec.dim:
+        raise _invalid("measurements", "must be < model dimension (no compression achieved)")
+    scheme = _build("transport", ch_mod.TransportScheme, v["scheme"], m or None)
 
-    deadline = (
-        None if kv["deadline"] == "none" else _as_float(kv, "deadline", lo=0.0)
-    )
-    participation = _as_float(kv, "participation", lo=0.0, strict=True)
-    _need(participation <= 1.0, "participation", "must be <= 1")
     round_cfg = _build(
         "round",
         core.RoundConfig,
-        payload_mode=_as_choice(kv, "payload", core.PAYLOAD_MODES),
-        period=_as_int(kv, "period", lo=1),
-        deadline=deadline,
-        participation=participation,
-        selection=_as_choice(kv, "selection", core.SELECTIONS),
+        payload_mode=v["payload"],
+        period=v["period"],
+        deadline=v["deadline"],
+        participation=v["participation"],
+        selection=v["selection"],
         scheme=scheme,
         codec=codec,
-        n_antennas=_as_int(kv, "antennas", lo=1),
-        noise_std=_as_float(kv, "sigma", lo=0.0),
-        power_cap=_as_float(kv, "power_cap", lo=0.0, strict=True),
-        delay_mean=_as_float(kv, "delay_mean", lo=0.0),
-        delay_jitter=_as_float(kv, "delay_jitter", lo=0.0),
-    )
-
-    loss_threshold = (
-        None if kv["loss_threshold"] == "none" else _as_float(kv, "loss_threshold")
+        n_antennas=v["antennas"],
+        noise_std=v["sigma"],
+        power_cap=v["power_cap"],
+        delay_mean=v["delay_mean"],
+        delay_jitter=v["delay_jitter"],
     )
 
     return Scenario(
-        model_spec=model_spec,
-        partition=partition,
-        train_cfg=train_cfg,
-        round_cfg=round_cfg,
-        rounds=rounds,
-        seed=seed,
-        loss_threshold=loss_threshold,
-        raw=raw,
+        model_spec, partition, train_cfg, round_cfg, v["rounds"], v["seed"], v["loss_threshold"]
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -465,3 +466,24 @@ class TestRoundConfigValidation:
     def test_bad_period(self):
         with pytest.raises(ConfigurationError):
             core.RoundConfig(period=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_antennas", 0),
+            ("power_cap", 0.0),
+            ("power_cap", -1.0),
+            ("power_cap", math.inf),
+            ("noise_std", -0.1),
+            ("noise_std", math.nan),
+            ("delay_mean", -1.0),
+            ("delay_mean", math.inf),
+            ("delay_jitter", -1.0),
+            ("delay_jitter", math.nan),
+            ("deadline", -0.5),
+            ("deadline", math.inf),
+        ],
+    )
+    def test_channel_and_delay_fields_checked(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            core.RoundConfig(**{name: value})

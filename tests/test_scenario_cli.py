@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed import cli, models
-from airfed.scenario import _DEFAULTS, ScenarioError, parse_scenario
+from airfed.scenario import _KEYS, ScenarioError, parse_scenario
 
 # values a scenario key may take: defaults, keywords, numbers of every kind
 # (nan and inf included) and arbitrary text
 KEYWORDS = sorted(
-    set(_DEFAULTS.values())
+    {default for default, _ in _KEYS.values()}
     | {"mlp", "linear", "threshold", "topk", "binary", "four-level", "gradients"}
     | {"over-the-air", "cs-over-the-air", "channel", "true", "1,2", "0.5,1"}
+    | {"none", "full", "three-level"}
 )
 VALUES = st.one_of(
     st.sampled_from(KEYWORDS),
@@ -23,10 +24,10 @@ VALUES = st.one_of(
     st.text(),
 )
 KEY_LINES = st.lists(
-    st.sampled_from(sorted(_DEFAULTS)).flatmap(
-        lambda key: st.tuples(st.just(key), st.one_of(st.just(_DEFAULTS[key]), VALUES))
+    st.sampled_from(sorted(_KEYS)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(st.just(_KEYS[key][0]), VALUES))
     ),
-    max_size=len(_DEFAULTS),
+    max_size=len(_KEYS),
     unique_by=lambda kv: kv[0],
 )
 
@@ -124,11 +125,30 @@ class TestParseScenario:
             ("rho = 0.5", "rho"),
             ("sparsifier = threshold\nwarmup = 0.5", "warmup"),
             ("error_feedback = off\nmomentum = 0.9", "momentum"),
+            ("sigma = 0.5", "sigma"),
+            ("selection = channel\npower_cap = 3", "power_cap"),
+            ("antennas = 4", "antennas"),
+            ("delay_mean = 2", "delay_mean"),
+            ("deadline = none\ndelay_jitter = 1", "delay_jitter"),
         ],
     )
     def test_irrelevant_key_rejected(self, text, key):
         with pytest.raises(ScenarioError, match=f"`{key}`: only applies with"):
             parse_scenario(text)
+
+    def test_antennas_apply_to_channel_aware_selection(self):
+        sc = parse_scenario("selection = channel\nantennas = 4")
+        assert sc.round_cfg.n_antennas == 4
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_writing_a_default_equals_omitting_it(self, key):
+        # the `compare` command relies on this: it checks parsed values
+        try:
+            sc = parse_scenario(f"{key} = {_KEYS[key][0]}")
+        except ScenarioError as exc:
+            assert str(exc).startswith(f"invalid value for `{key}`: only applies with")
+        else:
+            assert sc == parse_scenario("")
 
     @pytest.mark.parametrize("spelling", ["true", "on", "1", "TRUE"])
     def test_momentum_applies_under_every_error_feedback_spelling(self, spelling):
@@ -387,6 +407,25 @@ class TestCompareCommand:
             float(rows[1]["final_loss"]), abs=1e-6
         )
         assert float(rows[1]["gain"]) == 5.0
+
+    @pytest.mark.parametrize(
+        "line, spelling",
+        [
+            ("mu = 0.1\n", ""),
+            ("mu = 0.1", "mu = 0.10"),
+            ("client_size = 10", "sizes = 10,10,10,10,10"),
+        ],
+    )
+    def test_equal_problems_spelled_differently_accepted(self, tmp_path, line, spelling):
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        a.write_text(BASE)
+        b.write_text(BASE.replace(line, spelling))
+        out = tmp_path / "out"
+        assert run_cli(["compare", str(a), str(b), "--out", str(out), "--quiet"]) == 0
+        with open(out / "compare.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["final_loss"] == rows[1]["final_loss"]
 
     def test_mismatched_shared_field_rejected(self, tmp_path):
         a = tmp_path / "a.cfg"
