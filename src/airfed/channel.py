@@ -8,6 +8,7 @@ and held constant across the round's channel uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,25 +93,32 @@ def solve_aggregation_weights(
     """Find (m, p) approximating m^T h_k sqrt(p_k) = c_k under the power cap.
 
     Iterative heuristic: solve for the minimum-norm beamformer hitting unit
-    gain on every candidate (pseudo-inverse when antennas allow, principal
-    channel direction otherwise), derive powers, drop any client that needs
-    more than the cap or sits in the beamformer's null space, renormalize the
-    remaining targets, and repeat.
+    gain on every candidate when antennas allow (m = Q R^-T 1 from the
+    reduced QR factorisation H^T = QR; pinv(H) @ 1 when R has a negligible
+    diagonal entry, i.e. the channels are linearly dependent), otherwise take
+    the principal channel direction (top eigenvector of H^T H); derive powers,
+    drop any client that needs more than the cap or sits in the beamformer's
+    null space, renormalize the remaining targets, and repeat.
     """
     if power_cap <= 0:
         raise ConfigurationError("power cap must be > 0")
     candidates = sorted(targets)
-    tgt = {cid: targets[cid] for cid in candidates}
-    ssum = sum(tgt.values())
-    if not all(0 <= v < np.inf for v in tgt.values()):
+    tgt = np.array([targets[cid] for cid in candidates])
+    if not all(0 <= v < np.inf for v in targets.values()):
         raise ConfigurationError("targets must be finite and >= 0")
-    if not candidates or abs(ssum - 1.0) > 1e-9:
+    if not candidates or abs(sum(targets[cid] for cid in candidates) - 1.0) > 1e-9:
         raise ConfigurationError("targets must sum to 1 over candidates")
 
     while candidates:
         H = ch.gains[candidates]  # (Kc, N)
         if ch.n_antennas >= len(candidates):
-            m_vec = np.linalg.pinv(H) @ np.ones(len(candidates))
+            ones = np.ones(len(candidates))
+            q, r = np.linalg.qr(H.T)
+            diag = np.abs(np.diag(r))
+            if diag.min() > 1e-12 * diag.max():
+                m_vec = q @ np.linalg.solve(r.T, ones)
+            else:
+                m_vec = np.linalg.pinv(H) @ ones
             # unit-norm convention: the channel scale lives in the powers,
             # so the per-client cap is meaningful
             nrm = np.linalg.norm(m_vec)
@@ -118,22 +126,17 @@ def solve_aggregation_weights(
                 m_vec = m_vec / nrm
         else:
             # principal direction of sum_k h_k h_k^T
-            _, _, vt = np.linalg.svd(H, full_matrices=False)
-            m_vec = vt[0]
+            m_vec = np.linalg.eigh(H.T @ H)[1][:, -1]
             if np.sum(H @ m_vec) < 0:
                 m_vec = -m_vec
-        amplitudes = {}
-        for cid, gain in zip(candidates, H @ m_vec):
-            if gain > GAIN_EPS:
-                a = tgt[cid] / gain
-                if a * a <= power_cap:
-                    amplitudes[cid] = a
-        if len(amplitudes) == len(candidates):
-            return AirPlan(m_vec, amplitudes, candidates)
-        candidates = list(amplitudes)
-        total = sum(targets[cid] for cid in candidates)
-        if total > 0:
-            tgt = {cid: targets[cid] / total for cid in candidates}
+        gain = H @ m_vec
+        a = tgt / np.maximum(gain, GAIN_EPS)  # masked below where gain <= eps
+        keep = (gain > GAIN_EPS) & (a * a <= power_cap)
+        if keep.all():
+            return AirPlan(m_vec, dict(zip(candidates, a.tolist())), candidates)
+        candidates = [cid for cid, k in zip(candidates, keep.tolist()) if k]
+        total = sum(targets[cid] for cid in candidates)  # 0 only if all are 0
+        tgt = np.array([targets[cid] for cid in candidates]) / (total or 1.0)
     raise SchemeError("no clients satisfy the aggregation constraints")
 
 
@@ -160,34 +163,39 @@ def omp_recover(
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
     budget = min(sparsity, m, d)
-    Q = np.empty((m, budget))
+    Q = np.empty((budget, m))  # row i: the i-th orthonormal direction
     R = np.zeros((budget, budget))
     support: list[int] = []
+    taken = np.zeros(d, dtype=bool)
+    scores = np.empty(d)
     residual = y.astype(np.float64)
     for k in range(budget):
-        if np.linalg.norm(residual) < tol:
+        if math.sqrt(residual @ residual) < tol:
             break
-        scores = np.abs(A.T @ residual) / norms
-        scores[support] = -1.0
+        np.matmul(A.T, residual, out=scores)
+        np.abs(scores, out=scores)
+        scores /= norms
+        scores[taken] = -1.0
         j = int(np.argmax(scores))
-        Qk = Q[:, :k]
-        r = Qk.T @ A[:, j]
-        q = A[:, j] - Qk @ r
-        again = Qk.T @ q
-        q -= Qk @ again
+        Qk = Q[:k]
+        r = Qk @ A[:, j]
+        q = A[:, j] - r @ Qk
+        again = Qk @ q
+        q -= again @ Qk
         r += again
-        r_kk = np.linalg.norm(q)
+        r_kk = math.sqrt(q @ q)
         if r_kk <= 1e-12 * norms[j]:
             break
-        Q[:, k] = q / r_kk
+        Q[k] = q / r_kk
         R[:k, k] = r
         R[k, k] = r_kk
+        taken[j] = True
         support.append(j)
-        residual -= (Q[:, k] @ residual) * Q[:, k]
+        residual -= (Q[k] @ residual) * Q[k]
     x = np.zeros(d)
     s = len(support)
     if s:
-        x[support] = np.linalg.solve(R[:s, :s], Q[:, :s].T @ y)
+        x[support] = np.linalg.solve(R[:s, :s], Q[:s] @ y)
     return x
 
 
@@ -239,13 +247,12 @@ def transmit_round(
     analog round needs the channel, its plan and the noise generator."""
     if not entries:
         raise SchemeError("no payloads to transmit")
-    dense = [e.dense for e in entries]
-    d = dense[0].size
+    d = entries[0].payload.d
     sizes = [e.size for e in entries]
     exact = weighted_mean([e.raw for e in entries], sizes)
 
     if scheme.kind == IDEAL_DIGITAL:
-        agg = weighted_mean(dense, sizes)
+        agg = weighted_mean([e.dense for e in entries], sizes)
         uses = sum(e.payload.indices.size for e in entries)
         bits = sum(e.payload.payload_bits for e in entries)
         return TransmitResult(agg, uses, bits, float(np.linalg.norm(agg - exact)))
@@ -253,13 +260,12 @@ def transmit_round(
     if ch is None or plan is None or rng is None:
         raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
 
-    coeffs = np.array(
-        [
-            float(plan.beam @ ch.gains[e.client_id]) * plan.amplitudes[e.client_id]
-            for e in entries
-        ]
-    )
-    y = coeffs @ np.stack(dense)  # superposed payloads
+    ids = [e.client_id for e in entries]
+    coeffs = ch.gains[ids] @ plan.beam * [plan.amplitudes[cid] for cid in ids]
+    payloads = np.zeros((len(entries), d))
+    for row, e in zip(payloads, entries):
+        row[e.payload.indices] = e.payload.values
+    y = coeffs @ payloads  # superposed payloads
     if scheme.kind == CS_OVER_THE_AIR:
         if scheme.measurements >= d:
             raise ConfigurationError("measurements must be < d (no compression achieved)")

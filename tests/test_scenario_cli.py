@@ -434,6 +434,19 @@ class TestCompareCommand:
         b.write_text(BASE + "clients = 3\n")
         assert run_cli(["compare", str(a), str(b), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("order", ["threshold-first", "threshold-second"])
+    def test_mismatched_loss_threshold_rejected(self, tmp_path, capsys, order):
+        # rounds_to_threshold is reported per row, so the rows must share it
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        a.write_text(BASE)
+        b.write_text(BASE + "loss_threshold = 0.9\n")
+        files = [b, a] if order == "threshold-first" else [a, b]
+        out = tmp_path / "out"
+        assert run_cli(["compare", *map(str, files), "--out", str(out), "--quiet"]) == 1
+        assert "`loss_threshold`" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
     def test_gain_sweep_over_client_count(self, tmp_path):
         # paired baseline/over-the-air runs at several client counts
         for K in (5, 10, 20):
