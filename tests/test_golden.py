@@ -1,0 +1,143 @@
+"""Golden outputs: the output files of `airfed run` on the benchmark workloads
+and the example scenarios, each at one seed, against the files committed in
+tests/golden/.
+
+Integer and text cells must match exactly. The loss and error columns listed
+in FLOAT_CELLS may move by RTOL relative, the last-ulp change a reordered
+sum makes. Columns are compared by name, so an output may gain columns.
+
+A change that moves outputs on purpose rewrites the files with
+
+    PYTHONPATH=src python3 tests/test_golden.py --regen
+
+which prints, per file, the values that moved and the final loss before and
+after.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SEED = 7
+CASES = {
+    "cs-recovery": ROOT / "perfbench" / "workloads" / "cs-recovery.cfg",
+    "ota-crowd": ROOT / "perfbench" / "workloads" / "ota-crowd.cfg",
+    "digital-dgc": ROOT / "perfbench" / "workloads" / "digital-dgc.cfg",
+    "baseline": ROOT / "scenarios" / "baseline.cfg",
+    "cs_ota_demo": ROOT / "scenarios" / "cs_ota_demo.cfg",
+    "ota_demo": ROOT / "scenarios" / "ota_demo.cfg",
+}
+CSV_FILES = ("rounds.csv", "budget.csv", "events.csv")
+FLOAT_CELLS = {
+    ("rounds.csv", "global_loss"),
+    ("rounds.csv", "aggregation_error"),
+    ("summary.txt", "final_loss"),
+}
+RTOL = 1e-12
+
+
+def outputs(path: Path, seed: int = SEED) -> dict:
+    """{file: {column: [cells]}} of one `airfed run`, as written (text)."""
+    from airfed import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["run", str(path), "--out", tmp, "--seed", str(seed), "--quiet"]
+        assert cli.main(args) == 0
+        out = {}
+        for name in CSV_FILES:
+            with open(Path(tmp) / name, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            out[name] = {col: [row[i] for row in rows] for i, col in enumerate(header)}
+        summary = (Path(tmp) / "summary.txt").read_text().splitlines()
+        out["summary.txt"] = {
+            key: [value] for key, _, value in (line.partition(" = ") for line in summary)
+        }
+    return out
+
+
+def _same(file: str, column: str, want: str, got: str, rtol: float) -> bool:
+    if (file, column) not in FLOAT_CELLS or want == got:
+        return want == got
+    a, b = float(want), float(got)
+    return math.isfinite(a) and abs(b - a) <= rtol * abs(a)
+
+
+def moved(want: dict, got: dict, rtol: float = RTOL) -> list[str]:
+    """One line per golden column whose cells differ beyond `rtol`
+    (exactly, for integer and text columns), naming the first row."""
+    lines = []
+    for file, columns in want.items():
+        for column, cells in columns.items():
+            new = got.get(file, {}).get(column)
+            if new is None:
+                lines.append(f"{file}:{column} is missing")
+            elif len(new) != len(cells):
+                lines.append(f"{file}:{column} has {len(new)} rows, golden {len(cells)}")
+            else:
+                rows = [
+                    i for i, (a, b) in enumerate(zip(cells, new))
+                    if not _same(file, column, a, b, rtol)
+                ]
+                if rows:
+                    i = rows[0]
+                    lines.append(
+                        f"{file}:{column} differs in {len(rows)} of {len(cells)} rows, "
+                        f"first row {i}: {cells[i]!r} -> {new[i]!r}"
+                    )
+    return lines
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden(name):
+    want = json.loads(golden_path(name).read_text())
+    assert moved(want, outputs(CASES[name])) == []
+
+
+def test_moved_names_a_changed_cell():
+    want = {"rounds.csv": {"global_loss": ["1.0", "2.0"], "participants": ["0;1", "1"]}}
+    ulp = {"rounds.csv": {"global_loss": ["1.0", "2.0000000000000004"],
+                          "participants": ["0;1", "1"], "new_column": ["x", "y"]}}
+    assert moved(want, ulp) == []
+    wrong = {"rounds.csv": {"global_loss": ["1.0", "2.1"], "participants": ["0;1", "2"]}}
+    assert len(moved(want, wrong)) == 2
+    assert moved(want, {"rounds.csv": {"participants": ["0;1", "1"]}}) == [
+        "rounds.csv:global_loss is missing"
+    ]
+
+
+def regen() -> None:
+    """Rewrite every golden file and list, per file, what moved."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, path in sorted(CASES.items()):
+        target = golden_path(name)
+        old = json.loads(target.read_text()) if target.exists() else None
+        new = outputs(path)
+        target.write_text(json.dumps(new, indent=0) + "\n")
+        if old is None:
+            print(f"{name}: new file")
+            continue
+        changes = moved(old, new, rtol=0.0)
+        before = old["summary.txt"]["final_loss"][0]
+        after = new["summary.txt"]["final_loss"][0]
+        print(f"{name}: {len(changes)} columns moved; final_loss {before} -> {after}")
+        for line in changes:
+            print(f"  {line}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --regen")
+    regen()
