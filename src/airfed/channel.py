@@ -48,11 +48,12 @@ class ChannelRealization:
 
 
 class AirPlan(NamedTuple):
-    """An over-the-air round's transceiver: receive beamformer m, amplitude
-    sqrt(p_k) per transmitting client, and those clients in ascending order."""
+    """An over-the-air round's transceiver: receive beamformer m, the
+    transmitting clients in ascending order, and their amplitudes sqrt(p_k)
+    in that order."""
 
     beam: np.ndarray
-    amplitudes: dict[int, float]
+    amplitudes: np.ndarray  # aligned with transmitters
     transmitters: list[int]
 
 
@@ -102,17 +103,18 @@ def solve_aggregation_weights(
     """
     if power_cap <= 0:
         raise ConfigurationError("power cap must be > 0")
-    candidates = sorted(targets)
-    tgt = np.array([targets[cid] for cid in candidates])
-    if not all(0 <= v < np.inf for v in targets.values()):
+    ids = np.array(sorted(targets), dtype=np.intp)
+    shares = np.array([targets[cid] for cid in ids.tolist()])
+    if not np.all((shares >= 0) & (shares < np.inf)):
         raise ConfigurationError("targets must be finite and >= 0")
-    if not candidates or abs(sum(targets[cid] for cid in candidates) - 1.0) > 1e-9:
+    if not ids.size or abs(sum(shares.tolist()) - 1.0) > 1e-9:
         raise ConfigurationError("targets must sum to 1 over candidates")
 
-    while candidates:
-        H = ch.gains[candidates]  # (Kc, N)
-        if ch.n_antennas >= len(candidates):
-            ones = np.ones(len(candidates))
+    tgt = shares
+    while ids.size:
+        H = ch.gains[ids]  # (Kc, N)
+        if ch.n_antennas >= ids.size:
+            ones = np.ones(ids.size)
             q, r = np.linalg.qr(H.T)
             diag = np.abs(np.diag(r))
             if diag.min() > 1e-12 * diag.max():
@@ -133,10 +135,11 @@ def solve_aggregation_weights(
         a = tgt / np.maximum(gain, GAIN_EPS)  # masked below where gain <= eps
         keep = (gain > GAIN_EPS) & (a * a <= power_cap)
         if keep.all():
-            return AirPlan(m_vec, dict(zip(candidates, a.tolist())), candidates)
-        candidates = [cid for cid, k in zip(candidates, keep.tolist()) if k]
-        total = sum(targets[cid] for cid in candidates)  # 0 only if all are 0
-        tgt = np.array([targets[cid] for cid in candidates]) / (total or 1.0)
+            return AirPlan(m_vec, a, ids.tolist())
+        ids, shares = ids[keep], shares[keep]
+        # summed in order as in the check above; np.sum would pair the terms
+        total = sum(shares.tolist())  # 0 only if all are 0
+        tgt = shares / (total or 1.0)
     raise SchemeError("no clients satisfy the aggregation constraints")
 
 
@@ -244,7 +247,8 @@ def transmit_round(
     """Deliver one round of uplink payloads and aggregate at the server.
 
     A digital payload occupies one channel use per transmitted entry. An
-    analog round needs the channel, its plan and the noise generator."""
+    analog round needs the channel, its plan and the noise generator, and
+    its entries in the order of `plan.transmitters`."""
     if not entries:
         raise SchemeError("no payloads to transmit")
     d = entries[0].payload.d
@@ -261,7 +265,10 @@ def transmit_round(
         raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
 
     ids = [e.client_id for e in entries]
-    coeffs = ch.gains[ids] @ plan.beam * [plan.amplitudes[cid] for cid in ids]
+    if ids != plan.transmitters:
+        # coefficients are taken by position: any other order mis-weights
+        raise ConfigurationError("entries must follow plan.transmitters, in order")
+    coeffs = ch.gains[ids] @ plan.beam * plan.amplitudes
     payloads = np.zeros((len(entries), d))
     for row, e in zip(payloads, entries):
         row[e.payload.indices] = e.payload.values

@@ -238,7 +238,8 @@ def encode(
     else:
         idx = np.arange(d)
 
-    kept = v[idx]  # fancy indexing copies: masking v below leaves it intact
+    # a copy either way: masking v below leaves it intact
+    kept = v.copy() if spec.sparsifier == SPARSIFIER_NONE else v[idx]
     if spec.error_feedback:
         state.momentum[idx] = 0.0
         state.residual[idx] = 0.0

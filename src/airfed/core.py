@@ -213,12 +213,17 @@ def run_round(
     The round schedules, computes, then transmits: the deadline and the
     over-the-air plan come first, and a client the plan excludes neither
     trains nor encodes. `cfg` holds the round's channel and delay settings,
-    and each client its own stream. `population` is the union of the
-    clients' data, over which the global loss is evaluated."""
-    held = sum(c.size for c in clients)
-    if population.size != held:
+    and each client its own stream. Client k is `clients[k]` and row k of
+    the round's channel. `population` is the union of the clients' data,
+    over which the global loss is evaluated. After an uplink every client
+    shares the server's new parameters, which are read-only."""
+    client_ids = [c.id for c in clients]
+    if client_ids != list(range(len(clients))):
+        raise ConfigurationError("client k must have id k")
+    sizes = [c.size for c in clients]
+    if population.size != sum(sizes):
         raise ConfigurationError(
-            f"population has {population.size} rows, clients hold {held}"
+            f"population has {population.size} rows, clients hold {sum(sizes)}"
         )
     t = server.round_index + 1
     rec = RoundRecord(round_index=t, scheme=cfg.scheme.kind)
@@ -238,7 +243,6 @@ def run_round(
             len(clients), cfg.n_antennas, cfg.noise_std, streams.channel_seed(t)
         )
 
-    client_ids = [c.id for c in clients]
     participants = select_participants(
         client_ids,
         cfg.participation,
@@ -246,7 +250,6 @@ def run_round(
         channel=realization,
         mode=cfg.selection,
     )
-    by_id = {c.id: c for c in clients}
 
     # schedule: the deadline and the over-the-air plan read only the delay
     # stream, the channel, the data sizes and the cap, never a trained model
@@ -263,8 +266,8 @@ def run_round(
     plan = None
     transmitters = survivors
     if scheme.analog and survivors:
-        total = sum(by_id[cid].size for cid in survivors)
-        targets = {cid: by_id[cid].size / total for cid in survivors}
+        total = sum(sizes[cid] for cid in survivors)
+        targets = {cid: sizes[cid] / total for cid in survivors}
         try:
             plan = ch_mod.solve_aggregation_weights(realization, targets, cfg.power_cap)
         except SchemeError:
@@ -280,13 +283,14 @@ def run_round(
         rec.events.append("excluded: " + _ids(excluded))
 
     # compute: every participant the plan keeps trains and encodes;
-    # stragglers do too, and miss the deadline only afterwards
-    payloads: dict[int, comp_mod.CompressedGradient] = {}
-    raws: dict[int, np.ndarray] = {}
+    # stragglers do too, and miss the deadline only afterwards. Participants
+    # and transmitters both ascend, so the entries follow the plan's order.
+    sending = set(transmitters)
+    entries = []
     for cid in participants:
         if cid in excluded:
             continue
-        c = by_id[cid]
+        c = clients[cid]
         w_new = models.sgd_local_update(
             model_spec, c.local_params, c.dataset, train_cfg, c.rng
         )
@@ -298,16 +302,13 @@ def run_round(
                 raw = np.zeros_like(w_new)
         else:
             raw = w_new
-        raws[cid] = raw
-        payloads[cid] = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
+        payload = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
+        if cid in sending:
+            entries.append(ch_mod.TransmitEntry(cid, payload, raw, sizes[cid]))
     if not survivors:
         rec.events.append("protocol-error: all clients missed the deadline")
         return _finish(rec, server, population, model_spec)
 
-    entries = [
-        ch_mod.TransmitEntry(cid, payloads[cid], raws[cid], by_id[cid].size)
-        for cid in transmitters
-    ]
     result = ch_mod.transmit_round(
         entries, scheme, realization, plan, streams.noise(t) if scheme.analog else None
     )
@@ -317,9 +318,11 @@ def run_round(
     else:
         server.params = result.aggregated
 
-    # broadcast: every client restarts from the new global parameters
+    # broadcast: every client restarts from the new global parameters; local
+    # SGD copies its start, so one read-only array serves them all
+    server.params.flags.writeable = False
     for c in clients:
-        c.local_params = server.params.copy()
+        c.local_params = server.params
 
     rec.scheme = scheme.kind
     rec.aggregation_error = result.aggregation_error

@@ -25,8 +25,14 @@ def make_entries(vectors, sizes):
 
 def unit_plan(weights, n_clients):
     """Beamformer `weights` with every client transmitting at unit power."""
-    k = range(n_clients)
-    return ch.AirPlan(np.array(weights, dtype=float), {c: 1.0 for c in k}, list(k))
+    return ch.AirPlan(
+        np.array(weights, dtype=float), np.ones(n_clients), list(range(n_clients))
+    )
+
+
+def amplitude_of(plan):
+    """Transmitter id -> its amplitude sqrt(p_k)."""
+    return dict(zip(plan.transmitters, plan.amplitudes.tolist(), strict=True))
 
 
 def superpose(values, gains, weights, sigma=0.0, rng=None):
@@ -47,8 +53,8 @@ def residuals(r, targets, plan):
     total = sum(targets[cid] for cid in tx)
     gains = r.gains[tx] @ plan.beam
     return {
-        cid: abs(float(g) * plan.amplitudes[cid] - targets[cid] / total)
-        for cid, g in zip(tx, gains)
+        cid: abs(float(g) * a - targets[cid] / total)
+        for cid, g, a in zip(tx, gains, plan.amplitudes)
     }
 
 
@@ -127,8 +133,8 @@ class TestSolveAggregationWeights:
         assert 0 not in plan.transmitters
         # surviving targets renormalize to 1: constraints hold for survivors
         total = sum(
-            float(plan.beam @ gains[cid]) * plan.amplitudes[cid]
-            for cid in plan.transmitters
+            float(plan.beam @ gains[cid]) * a
+            for cid, a in amplitude_of(plan).items()
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -187,9 +193,9 @@ class TestSolveAggregationWeights:
             return
         tx = plan.transmitters
         assert tx == sorted(set(tx)) and set(tx) <= set(targets)
-        assert set(plan.amplitudes) == set(tx)
-        for cid in tx:
-            assert plan.amplitudes[cid] ** 2 <= cap
+        assert plan.amplitudes.shape == (len(tx),)
+        for cid, a in amplitude_of(plan).items():
+            assert a**2 <= cap
             assert plan.beam @ r.gains[cid] > ch.GAIN_EPS
         assert all(v < 1e-9 for v in residuals(r, targets, plan).values())
 
@@ -219,7 +225,7 @@ def svd_plan_oracle(r, targets, power_cap):
                 if a * a <= power_cap:
                     amplitudes[cid] = a
         if len(amplitudes) == len(candidates):
-            return ch.AirPlan(m_vec, amplitudes, candidates)
+            return ch.AirPlan(m_vec, np.array(list(amplitudes.values())), candidates)
         candidates = list(amplitudes)
         total = sum(targets[cid] for cid in candidates)
         if total > 0:
@@ -238,9 +244,7 @@ def assert_same_plan(r, targets, cap):
     assert got.transmitters == want.transmitters
     sign = 1.0 if got.beam @ want.beam >= 0 else -1.0
     np.testing.assert_allclose(sign * got.beam, want.beam, rtol=0, atol=1e-9)
-    assert set(got.amplitudes) == set(want.amplitudes)
-    for cid, a in want.amplitudes.items():
-        assert got.amplitudes[cid] == pytest.approx(a, rel=1e-9, abs=0)
+    np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=1e-9, atol=0)
 
 
 class TestSolverMatchesSvdOracle:
@@ -318,6 +322,28 @@ class TestTransmitRoundOverTheAir:
         with pytest.raises(ConfigurationError):
             ch.transmit_round(entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan)
 
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda es: es[::-1], lambda es: es[1:], lambda es: es + es[:1]],
+        ids=["reversed", "one-missing", "one-repeated"],
+    )
+    def test_entries_out_of_plan_order_rejected(self, reorder):
+        # amplitudes are aligned by position: another order would mis-weight
+        r, plan, entries = self._solved_setup(d=8, sigma=0.0)
+        assert plan.transmitters == [0, 1, 2]
+        with pytest.raises(ConfigurationError, match="plan.transmitters"):
+            ch.transmit_round(
+                reorder(entries), OTA, r, plan, np.random.default_rng(0)
+            )
+
+    def test_entry_the_plan_lacks_rejected(self):
+        r, plan, entries = self._solved_setup(d=8, sigma=0.0)
+        stranger = dataclasses.replace(entries[0], client_id=5)
+        with pytest.raises(ConfigurationError, match="plan.transmitters"):
+            ch.transmit_round(
+                entries + [stranger], OTA, r, plan, np.random.default_rng(0)
+            )
+
     def test_mse_linear_in_noise_power(self):
         d = 32
         sigmas = [0.01, 0.02, 0.04, 0.08]
@@ -391,7 +417,7 @@ class TestTransmitRoundCsOverTheAir:
         A = ch.measurement_matrix(d, m_cs, 3)
         expected = sum(
             float(plan.beam @ r.gains[e.client_id])
-            * plan.amplitudes[e.client_id]
+            * amplitude_of(plan)[e.client_id]
             * (A @ e.dense)
             for e in entries
         )

@@ -308,10 +308,13 @@ class TestEncode:
     def test_payload_indices_sorted_in_range_values_aligned(self, rounds, d, spec):
         """The invariant every decoder relies on, over a few rounds of one
         encoder state: int64 indices strictly increasing within [0, d),
-        float64 values of the same length."""
+        float64 values of the same length. The input is never written."""
         state = C.EncoderState.zeros(d)
         for epoch, g in enumerate(rounds):
+            g.flags.writeable = False
+            before = g.copy()
             c = C.encode(g[:d], spec, state, epoch=epoch)
+            assert np.array_equal(g, before, equal_nan=True)
             assert c.d == d
             assert c.indices.dtype == np.int64 and c.indices.ndim == 1
             assert np.all(np.diff(c.indices) > 0)

@@ -333,6 +333,57 @@ class TestRunTraining:
             np.log(2), rel=1e-6
         )  # server still at w = 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "seed = 5\nrounds = 6\nperiod = 2\nfeatures = 3\nclients = 3\n"
+            "batch = 4\npayload = gradients",
+            "seed = 5\nrounds = 3\nfeatures = 3\nclients = 3\npayload = weights",
+        ],
+        ids=["gradients-period-2", "weights"],
+    )
+    def test_broadcast_shares_one_read_only_array(self, monkeypatch, text):
+        # off-schedule rounds train from the shared array: a write into it
+        # would raise, and every later round would start from a changed model
+        run_round = core.run_round
+        seen = []
+
+        def spy(server, clients, *args):
+            rec = run_round(server, clients, *args)
+            held = [c.local_params is server.params for c in clients]
+            seen.append((rec, held, server.params.flags.writeable))
+            return rec
+
+        monkeypatch.setattr(core, "run_round", spy)
+        sc = parse_scenario(text)
+        core.run_training(sc)
+        assert len(seen) == sc.rounds
+        for rec, held, writeable in seen:
+            if rec.round_index % sc.round_cfg.period == 0:
+                assert rec.participants == [0, 1, 2]
+                assert all(held) and not writeable
+            else:
+                assert not any(held)
+
+    def test_client_ids_must_be_positions(self):
+        spec = models.ModelSpec(models.LINEAR, 2)
+        data = models.Dataset(np.ones((3, 2)), np.zeros(3))
+        streams = core.RngStreams(0)
+        clients = [
+            core.ClientState(k, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(k))
+            for k in (1, 0)
+        ]
+        with pytest.raises(ConfigurationError, match="client k must have id k"):
+            core.run_round(
+                core.ServerState(np.zeros(2)),
+                clients,
+                models.Dataset(np.ones((6, 2)), np.zeros(6)),
+                spec,
+                models.TrainConfig(step_size=0.1),
+                core.RoundConfig(),
+                streams,
+            )
+
     def test_deadline_miss_holds_server_params(self):
         text = (
             "seed = 6\nrounds = 3\nclients = 2\nfeatures = 3\nbatch = 4\n"

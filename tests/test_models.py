@@ -252,9 +252,13 @@ class TestKernelsMatchOracles:
         if batch != "full":
             batch = min(batch, n + 3)
         cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
+        # the start may be a broadcast array that every client shares
+        w0.flags.writeable = False
+        start = w0.copy()
         got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
         want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+        assert np.array_equal(w0, start)
 
 
 def per_client_synthetic(partition, seed):
