@@ -190,7 +190,7 @@ def _finish(
     server.round_index = rec.round_index
     # an overflow here is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        rec.global_loss = models.global_loss(model_spec, server.params, [population])
+        rec.global_loss = models.global_loss(model_spec, server.params, population)
     if not (np.all(np.isfinite(server.params)) and math.isfinite(rec.global_loss)):
         raise ProtocolError(
             f"training diverged in round {rec.round_index}: "

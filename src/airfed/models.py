@@ -145,8 +145,11 @@ def _mlp_forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
     yhat = A @ w2 + b2
     return yhat, A
 
-def local_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
-    """Per-client loss F_k(w): mean over samples plus L2 penalty."""
+
+def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
+    """Loss F(w) over one dataset: mean over samples plus L2 penalty. Over a
+    client's rows it is F_k; over the pooled population it is the
+    size-weighted mean of the F_k, the global loss."""
     spec.check_dims(w, data)
     X, y = data.features, data.labels
     if spec.kind == LINEAR:
@@ -162,16 +165,8 @@ def local_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
     return base + 0.5 * spec.l2 * float(w @ w)
 
 
-def global_loss(spec: ModelSpec, w: np.ndarray, datasets: list[Dataset]) -> float:
-    """Size-weighted average of the per-client losses."""
-    if not datasets:
-        raise ConfigurationError("global_loss requires at least one dataset")
-    total = sum(d.size for d in datasets)
-    return sum(d.size * local_loss(spec, w, d) for d in datasets) / total
-
-
 def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:
-    """Analytic gradient of local_loss at w over the given batch."""
+    """Analytic gradient of global_loss at w over the given batch."""
     spec.check_dims(w, batch)
     return _gradient(spec, w, batch.features, batch.labels)
 

@@ -62,6 +62,7 @@ def test_criterion_1_federation_equals_centralized():
 def test_criterion_2_monotonicity_suite():
     sc, datasets = fed_setup(mu=0.05)
     spec, mu = sc.model_spec, 0.05
+    population = models.make_synthetic(sc.partition, sc.seed)
     total = sum(d.size for d in datasets)
     w = np.zeros(spec.dim)
     violations = 0
@@ -71,12 +72,12 @@ def test_criterion_2_monotonicity_suite():
             break
         locals_ = [(w - mu * models.gradient(spec, w, d), d.size) for d in datasets]
         w_new = ch.weighted_mean([wk for wk, _ in locals_], [n for _, n in locals_])
-        if models.global_loss(spec, w_new, datasets) >= models.global_loss(
-            spec, w, datasets
+        if models.global_loss(spec, w_new, population) >= models.global_loss(
+            spec, w, population
         ):
             violations += 1
         for (wk, _), d in zip(locals_, datasets):
-            if models.local_loss(spec, w_new, d) < models.local_loss(spec, wk, d):
+            if models.global_loss(spec, w_new, d) < models.global_loss(spec, wk, d):
                 violations += 1
         w = w_new
     report(

@@ -296,10 +296,11 @@ class TestRunTraining:
         )
         sc = parse_scenario(text)
         records, _ = core.run_training(sc)
-        datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
+        population = models.make_synthetic(sc.partition, sc.seed)
+        datasets = population.split(sc.partition.sizes)
         # equal client sizes: centralized GD on the union is the oracle
         trajectory = centralized_gd(sc.model_spec, datasets, 0.2, 30)
-        losses = [models.global_loss(sc.model_spec, w, datasets) for w in trajectory]
+        losses = [models.global_loss(sc.model_spec, w, population) for w in trajectory]
         np.testing.assert_allclose(
             [r.global_loss for r in records], losses, rtol=1e-10
         )
@@ -314,12 +315,13 @@ class TestRunTraining:
         (rec,) = records
         assert len(rec.participants) == 1
         cid = rec.participants[0]
-        datasets = models.make_synthetic(sc.partition, sc.seed).split(sc.partition.sizes)
+        population = models.make_synthetic(sc.partition, sc.seed)
+        datasets = population.split(sc.partition.sizes)
         streams = core.RngStreams(sc.seed)
         w = models.sgd_local_update(
             sc.model_spec, np.zeros(3), datasets[cid], sc.train_cfg, streams.client(cid)
         )
-        expected = models.global_loss(sc.model_spec, w, datasets)
+        expected = models.global_loss(sc.model_spec, w, population)
         assert rec.global_loss == pytest.approx(expected, rel=1e-12)
 
     def test_period_skips_uploads(self):
@@ -472,9 +474,8 @@ class TestFig2Properties:
             "seed = 8\nrounds = 50\nmodel = logistic\nfeatures = 20\nclients = 4\n"
             "client_size = 30\nmu = 0.05\nl2 = 0.01"
         )
-        self.datasets = models.make_synthetic(self.sc.partition, self.sc.seed).split(
-            self.sc.partition.sizes
-        )
+        self.population = models.make_synthetic(self.sc.partition, self.sc.seed)
+        self.datasets = self.population.split(self.sc.partition.sizes)
 
     def test_global_and_local_descent_properties(self):
         spec = self.sc.model_spec
@@ -491,16 +492,16 @@ class TestFig2Properties:
             for d in datasets:
                 wk = w - mu * models.gradient(spec, w, d)
                 # (b) each local full-batch step improves the local loss
-                assert models.local_loss(spec, wk, d) < models.local_loss(spec, w, d)
+                assert models.global_loss(spec, wk, d) < models.global_loss(spec, w, d)
                 locals_.append((wk, d.size))
             w_new = ch.weighted_mean([wk for wk, _ in locals_], [n for _, n in locals_])
             # (a) global loss strictly decreases while the gradient is large
-            assert models.global_loss(spec, w_new, datasets) < models.global_loss(
-                spec, w, datasets
+            assert models.global_loss(spec, w_new, self.population) < models.global_loss(
+                spec, w, self.population
             )
             # (c) the aggregate is never better than the local optimum step
             for (wk, _), d in zip(locals_, datasets):
-                assert models.local_loss(spec, w_new, d) >= models.local_loss(
+                assert models.global_loss(spec, w_new, d) >= models.global_loss(
                     spec, wk, d
                 ) - 1e-12
             w = w_new

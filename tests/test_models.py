@@ -18,7 +18,7 @@ def finite_difference_gradient(spec, w, batch, h=1e-6):
         wm = w.copy()
         wp[i] += h
         wm[i] -= h
-        g[i] = (models.local_loss(spec, wp, batch) - models.local_loss(spec, wm, batch)) / (
+        g[i] = (models.global_loss(spec, wp, batch) - models.global_loss(spec, wm, batch)) / (
             2 * h
         )
     return g
@@ -42,20 +42,20 @@ class TestLocalLoss:
     def test_zero_predictor_zero_targets(self):
         spec = models.ModelSpec(models.LINEAR, 3)
         data = models.Dataset(np.ones((5, 3)), np.zeros(5))
-        assert models.local_loss(spec, np.zeros(3), data) == 0.0
+        assert models.global_loss(spec, np.zeros(3), data) == 0.0
 
     def test_logistic_zero_weights_is_ln2(self):
         spec = models.ModelSpec(models.LOGISTIC, 4)
         rng = np.random.default_rng(0)
         data = models.Dataset(rng.standard_normal((7, 4)), (rng.random(7) < 0.5).astype(float))
-        assert models.local_loss(spec, np.zeros(4), data) == pytest.approx(math.log(2))
+        assert models.global_loss(spec, np.zeros(4), data) == pytest.approx(math.log(2))
 
     def test_logistic_hand_computed(self):
         # w = [1, -1], x = [2, 1], y = 1: z = 1, loss = ln(1 + e^-1)
         spec = models.ModelSpec(models.LOGISTIC, 2)
         data = models.Dataset(np.array([[2.0, 1.0]]), np.array([1.0]))
         expected = math.log(1 + math.exp(-1))
-        assert models.local_loss(spec, np.array([1.0, -1.0]), data) == pytest.approx(
+        assert models.global_loss(spec, np.array([1.0, -1.0]), data) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -68,32 +68,23 @@ class TestLocalLoss:
         spec = models.ModelSpec(models.LINEAR, 3)
         data = models.Dataset(np.ones((2, 4)), np.zeros(2))
         with pytest.raises(ConfigurationError):
-            models.local_loss(spec, np.zeros(3), data)
+            models.global_loss(spec, np.zeros(3), data)
 
 
 class TestGlobalLoss:
     def test_single_client_equals_local(self):
+        # over one client's rows: half the mean squared residual, F_k(w)
         rng = np.random.default_rng(1)
         spec, data = random_spec_and_data(models.LINEAR, rng)
         w = rng.standard_normal(spec.dim)
-        assert models.global_loss(spec, w, [data]) == models.local_loss(spec, w, data)
+        r = data.features @ w - data.labels
+        assert models.global_loss(spec, w, data) == pytest.approx(
+            0.5 * float(np.mean(r * r)), rel=1e-14
+        )
 
-    def test_weighted_average_identity(self):
-        rng = np.random.default_rng(2)
-        spec = models.ModelSpec(models.LINEAR, 3)
-        ds = [
-            models.Dataset(rng.standard_normal((n, 3)), rng.standard_normal(n))
-            for n in (1, 3, 6)
-        ]
-        w = rng.standard_normal(3)
-        total = sum(d.size for d in ds)
-        expected = sum(d.size * models.local_loss(spec, w, d) for d in ds) / total
-        assert models.global_loss(spec, w, ds) == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_list_rejected(self):
-        spec = models.ModelSpec(models.LINEAR, 3)
-        with pytest.raises(ConfigurationError):
-            models.global_loss(spec, np.zeros(3), [])
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            models.Dataset(np.zeros((0, 3)), np.zeros(0))
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_pooled_equals_per_client(self, kind):
@@ -102,8 +93,10 @@ class TestGlobalLoss:
         sizes = [1, 7, 30, 12]
         spec, union = random_spec_and_data(kind, rng, n=sum(sizes), p=5, l2=0.01)
         w = rng.standard_normal(spec.dim)
-        pooled = models.global_loss(spec, w, [union])
-        per_client = models.global_loss(spec, w, union.split(sizes))
+        pooled = models.global_loss(spec, w, union)
+        per_client = sum(
+            d.size * models.global_loss(spec, w, d) for d in union.split(sizes)
+        ) / sum(sizes)
         assert pooled == pytest.approx(per_client, rel=1e-12, abs=0)
 
 
