@@ -48,9 +48,8 @@ class ChannelRealization:
 
 
 class AirPlan(NamedTuple):
-    """An over-the-air round's transceiver: receive beamformer m, the
-    transmitting clients in ascending order, and their amplitudes sqrt(p_k)
-    in that order."""
+    """An over-the-air round's transceiver: receive beamformer m, amplitude
+    sqrt(p_k) per transmitting client, and those clients in ascending order."""
 
     beam: np.ndarray
     amplitudes: np.ndarray  # aligned with transmitters
@@ -104,13 +103,12 @@ def solve_aggregation_weights(
     if power_cap <= 0:
         raise ConfigurationError("power cap must be > 0")
     ids = np.array(sorted(targets), dtype=np.intp)
-    shares = np.array([targets[cid] for cid in ids.tolist()])
+    shares = tgt = np.array([targets[cid] for cid in ids.tolist()])
     if not np.all((shares >= 0) & (shares < np.inf)):
         raise ConfigurationError("targets must be finite and >= 0")
     if not ids.size or abs(sum(shares.tolist()) - 1.0) > 1e-9:
         raise ConfigurationError("targets must sum to 1 over candidates")
 
-    tgt = shares
     while ids.size:
         H = ch.gains[ids]  # (Kc, N)
         if ch.n_antennas >= ids.size:
@@ -264,11 +262,10 @@ def transmit_round(
     if ch is None or plan is None or rng is None:
         raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
 
-    ids = [e.client_id for e in entries]
-    if ids != plan.transmitters:
+    if [e.client_id for e in entries] != plan.transmitters:
         # coefficients are taken by position: any other order mis-weights
         raise ConfigurationError("entries must follow plan.transmitters, in order")
-    coeffs = ch.gains[ids] @ plan.beam * plan.amplitudes
+    coeffs = ch.gains[plan.transmitters] @ plan.beam * plan.amplitudes
     payloads = np.zeros((len(entries), d))
     for row, e in zip(payloads, entries):
         row[e.payload.indices] = e.payload.values

@@ -35,10 +35,6 @@ class ClientState:
     encoder: comp_mod.EncoderState
     rng: np.random.Generator  # the client's stream: batch order of local SGD
 
-    @property
-    def size(self) -> int:
-        return self.dataset.size
-
 
 @dataclass
 class ServerState:
@@ -220,7 +216,7 @@ def run_round(
     client_ids = [c.id for c in clients]
     if client_ids != list(range(len(clients))):
         raise ConfigurationError("client k must have id k")
-    sizes = [c.size for c in clients]
+    sizes = [c.dataset.size for c in clients]
     if population.size != sum(sizes):
         raise ConfigurationError(
             f"population has {population.size} rows, clients hold {sum(sizes)}"
@@ -278,14 +274,14 @@ def run_round(
             scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
         else:
             transmitters = plan.transmitters
-    excluded = set(survivors) - set(transmitters)
+    sending = set(transmitters)
+    excluded = set(survivors) - sending
     if excluded:
         rec.events.append("excluded: " + _ids(excluded))
 
     # compute: every participant the plan keeps trains and encodes;
     # stragglers do too, and miss the deadline only afterwards. Participants
     # and transmitters both ascend, so the entries follow the plan's order.
-    sending = set(transmitters)
     entries = []
     for cid in participants:
         if cid in excluded:

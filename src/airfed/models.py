@@ -188,9 +188,7 @@ def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> n
         g_W1 = dZ.T @ X
         g_b1 = dZ.sum(axis=0)
         g = np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
-    if spec.l2 > 0:
-        g += spec.l2 * w
-    return g
+    return g + spec.l2 * w if spec.l2 > 0 else g
 
 
 def sgd_local_update(
