@@ -332,9 +332,7 @@ class TestTransmitRoundOverTheAir:
         r, plan, entries = self._solved_setup(d=8, sigma=0.0)
         assert plan.transmitters == [0, 1, 2]
         with pytest.raises(ConfigurationError, match="plan.transmitters"):
-            ch.transmit_round(
-                reorder(entries), OTA, r, plan, np.random.default_rng(0)
-            )
+            ch.transmit_round(reorder(entries), OTA, r, plan, np.random.default_rng(0))
 
     def test_entry_the_plan_lacks_rejected(self):
         r, plan, entries = self._solved_setup(d=8, sigma=0.0)

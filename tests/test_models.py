@@ -18,9 +18,9 @@ def finite_difference_gradient(spec, w, batch, h=1e-6):
         wm = w.copy()
         wp[i] += h
         wm[i] -= h
-        g[i] = (models.global_loss(spec, wp, batch) - models.global_loss(spec, wm, batch)) / (
-            2 * h
-        )
+        g[i] = (
+            models.global_loss(spec, wp, batch) - models.global_loss(spec, wm, batch)
+        ) / (2 * h)
     return g
 
 
