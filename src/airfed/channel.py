@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compression import CompressedGradient
+from .compression import FLOAT_BITS, CompressedGradient
 from .errors import ConfigurationError, ProtocolError, SchemeError
 
 IDEAL_DIGITAL = "ideal-digital"
@@ -24,7 +24,6 @@ CS_OVER_THE_AIR = "cs-over-the-air"
 SCHEMES = (IDEAL_DIGITAL, OVER_THE_AIR, CS_OVER_THE_AIR)
 
 GAIN_EPS = 1e-9
-DIGITAL_SYMBOL_BITS = 64
 
 
 @dataclass
@@ -285,5 +284,5 @@ def transmit_round(
     else:
         agg = y
     return TransmitResult(
-        agg, uses, uses * DIGITAL_SYMBOL_BITS, float(np.linalg.norm(agg - exact))
+        agg, uses, uses * FLOAT_BITS, float(np.linalg.norm(agg - exact))
     )

@@ -150,52 +150,37 @@ def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def quantize(values: np.ndarray, levels: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Quantize values to the given level count; returns (symbols, scales).
+def quantize(values: np.ndarray, quantizer: str) -> np.ndarray:
+    """The decoded values a lossy quantizer's payload carries, scale * symbol.
 
-    binary (2):  symbol = sign, scale = mean|v|, decode = scale * symbol.
-    three (3):   symbol 0 when |v| <= s/2 with s the mean |v| over the entries
+    binary:      symbol = sign, scale = mean|v|.
+    three-level: symbol 0 when |v| <= s/2 with s the mean |v| over the entries
                  mapped to nonzero symbols (two-pass: provisional mean first).
-    four (4):    magnitude split at mean|v|; inner/outer groups get their own
+    four-level:  magnitude split at mean|v|; inner/outer groups get their own
                  mean-|v| scales; symbols {-2, -1, +1, +2}.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ConfigurationError("quantize requires nonempty values")
-    sign = np.where(v >= 0, 1, -1).astype(np.int8)
+    sign = np.where(v >= 0, 1.0, -1.0)
     mag = np.abs(v)
     # a mean is sum / count: the reduction np.mean does, without its wrapper
     s0 = float(mag.sum() / v.size)
-    if levels == 2:
-        return sign, (s0,)
-    if levels == 3:
-        symbols = np.where(mag <= s0 / 2, 0, sign).astype(np.int8)
+    if quantizer == QUANTIZER_BINARY:
+        return s0 * sign
+    if quantizer == QUANTIZER_THREE:
+        symbols = np.where(mag <= s0 / 2, 0.0, sign)
         nz = symbols != 0
         n_nz = np.count_nonzero(nz)
         s = float(mag[nz].sum() / n_nz) if n_nz else 0.0
-        return symbols, (s,)
-    if levels == 4:
+        return s * symbols
+    if quantizer == QUANTIZER_FOUR:
         inner = mag <= s0
-        symbols = np.where(inner, sign, 2 * sign).astype(np.int8)
         n_in = np.count_nonzero(inner)
         s_lo = float(mag[inner].sum() / n_in) if n_in else 0.0
         s_hi = float(mag[~inner].sum() / (v.size - n_in)) if n_in < v.size else 0.0
-        return symbols, (s_lo, s_hi)
-    raise ConfigurationError("levels must be one of 2, 3, 4")
-
-
-def dequantize(symbols: np.ndarray, scales: tuple[float, ...], quantizer: str) -> np.ndarray:
-    symbols = np.asarray(symbols)
-    if quantizer == QUANTIZER_BINARY or quantizer == QUANTIZER_THREE:
-        return scales[0] * symbols.astype(np.float64)
-    if quantizer == QUANTIZER_FOUR:
-        s_lo, s_hi = scales
-        mag = np.where(np.abs(symbols) == 1, s_lo, s_hi)
-        return np.sign(symbols) * mag
-    raise ConfigurationError(f"cannot dequantize with quantizer {quantizer!r}")
-
-
-_QUANT_LEVELS = {QUANTIZER_BINARY: 2, QUANTIZER_THREE: 3, QUANTIZER_FOUR: 4}
+        return sign * np.where(inner, s_lo, s_hi)
+    raise ConfigurationError(f"{quantizer!r} is not a lossy quantizer")
 
 
 def encode(
@@ -245,8 +230,7 @@ def encode(
         state.residual[idx] = 0.0
 
     if spec.quantizer != QUANTIZER_NONE and kept.size:
-        symbols, scales = quantize(kept, _QUANT_LEVELS[spec.quantizer])
-        values = dequantize(symbols, scales, spec.quantizer)
+        values = quantize(kept, spec.quantizer)
     else:
         values = kept
 

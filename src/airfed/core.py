@@ -16,15 +16,9 @@ from . import models
 from .budget import BudgetLedger
 from .errors import ConfigurationError, ProtocolError, SchemeError
 
-PAYLOAD_WEIGHTS = "weights"
-PAYLOAD_GRADIENTS = "gradients"
-PAYLOAD_MODES = (PAYLOAD_WEIGHTS, PAYLOAD_GRADIENTS)
-
 SELECT_RANDOM = "random"
 SELECT_CHANNEL = "channel"
 SELECTIONS = (SELECT_RANDOM, SELECT_CHANNEL)
-
-DOWNLINK_BITS_PER_ENTRY = 64
 
 
 @dataclass
@@ -44,7 +38,6 @@ class ServerState:
 
 @dataclass
 class RoundConfig:
-    payload_mode: str = PAYLOAD_WEIGHTS
     period: int = 1
     deadline: float | None = None
     participation: float = 1.0
@@ -58,18 +51,12 @@ class RoundConfig:
     delay_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.payload_mode not in PAYLOAD_MODES:
-            raise ConfigurationError(f"unknown payload mode {self.payload_mode!r}")
         if self.period < 1:
             raise ConfigurationError("aggregation period must be >= 1")
         if not (0 < self.participation <= 1):
             raise ConfigurationError("participation must be in (0, 1]")
         if self.selection not in SELECTIONS:
             raise ConfigurationError(f"unknown selection mode {self.selection!r}")
-        if self.scheme.analog and self.payload_mode != PAYLOAD_GRADIENTS:
-            raise ConfigurationError(
-                "analog transport requires payload_mode = gradients"
-            )
         if self.n_antennas < 1:
             raise ConfigurationError("n_antennas must be >= 1")
         if not (0 < self.power_cap < math.inf):
@@ -291,13 +278,12 @@ def run_round(
             model_spec, c.local_params, c.dataset, train_cfg, c.rng
         )
         c.local_params = w_new
-        if cfg.payload_mode == PAYLOAD_GRADIENTS:
-            if train_cfg.step_size > 0:
-                raw = (server.params - w_new) / train_cfg.step_size
-            else:
-                raw = np.zeros_like(w_new)
+        # the upload is the pseudo-gradient (w_server - w_k)/mu: uncompressed,
+        # the server's step by -mu times its mean is FedAvg's weight average
+        if train_cfg.step_size > 0:
+            raw = (server.params - w_new) / train_cfg.step_size
         else:
-            raw = w_new
+            raw = np.zeros_like(w_new)
         payload = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
         if cid in sending:
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, sizes[cid]))
@@ -309,10 +295,7 @@ def run_round(
         entries, scheme, realization, plan, streams.noise(t) if scheme.analog else None
     )
 
-    if cfg.payload_mode == PAYLOAD_GRADIENTS:
-        server.params = server.params - train_cfg.step_size * result.aggregated
-    else:
-        server.params = result.aggregated
+    server.params = server.params - train_cfg.step_size * result.aggregated
 
     # broadcast: every client restarts from the new global parameters; local
     # SGD copies its start, so one read-only array serves them all
@@ -325,7 +308,7 @@ def run_round(
     rec.participants = transmitters
     rec.uplink_uses = result.channel_uses
     rec.uplink_bits = result.bits_equivalent
-    rec.downlink_bits = server.params.size * DOWNLINK_BITS_PER_ENTRY
+    rec.downlink_bits = server.params.size * comp_mod.FLOAT_BITS
     return _finish(rec, server, population, model_spec)
 
 

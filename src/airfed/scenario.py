@@ -110,7 +110,8 @@ _KEYS = {
     "mu": ("0.1", _number(float, lo=0.0)),
     "batch": ("full", _or("full", "full", _number(int, lo=1))),
     "local_steps": ("1", _number(int, lo=1)),
-    "payload": ("weights", _choice(core.PAYLOAD_MODES)),
+    # clients always upload the pseudo-gradient; files may still say so
+    "payload": ("gradients", _choice(("gradients",))),
     "period": ("1", _number(int, lo=1)),
     "deadline": ("none", _or("none", None, _number(float, lo=0.0))),
     "participation": ("1.0", _number(float, lo=0.0, hi=1, strict=True)),
@@ -241,7 +242,6 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     round_cfg = _build(
         "round",
         core.RoundConfig,
-        payload_mode=v["payload"],
         period=v["period"],
         deadline=v["deadline"],
         participation=v["participation"],

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from airfed import channel as ch
 from airfed import compression as C
+from airfed.errors import ConfigurationError
 
 
 def brute_force_best_subset_energy(g, k):
@@ -44,25 +45,29 @@ mixed_vectors = hnp.arrays(
 )
 
 
-def mean_quantize(values, levels):
-    """Oracle: the quantizer with np.mean scales and np.any group tests."""
+def mean_quantize(values, quantizer):
+    """Oracle: the quantizer with np.mean scales, np.any group tests and
+    int8 symbols, decoded as scale * symbol."""
     v = np.asarray(values, dtype=np.float64)
     sign = np.where(v >= 0, 1, -1).astype(np.int8)
     mag = np.abs(v)
-    if levels == 2:
-        return sign, (float(np.mean(mag)),)
-    if levels == 3:
-        s0 = float(np.mean(mag))
+    s0 = float(np.mean(mag))
+    if quantizer == C.QUANTIZER_BINARY:
+        return s0 * sign.astype(np.float64)
+    if quantizer == C.QUANTIZER_THREE:
         symbols = np.where(mag <= s0 / 2, 0, sign).astype(np.int8)
         nz = symbols != 0
-        return symbols, (float(np.mean(mag[nz])) if np.any(nz) else 0.0,)
-    s0 = float(np.mean(mag))
+        s = float(np.mean(mag[nz])) if np.any(nz) else 0.0
+        return s * symbols.astype(np.float64)
     inner = mag <= s0
     symbols = np.where(inner, sign, 2 * sign).astype(np.int8)
     s_lo = float(np.mean(mag[inner])) if np.any(inner) else 0.0
     s_hi = float(np.mean(mag[~inner])) if np.any(~inner) else 0.0
-    return symbols, (s_lo, s_hi)
+    scale = np.where(np.abs(symbols) == 1, s_lo, s_hi)
+    return np.sign(symbols).astype(np.float64) * scale
 
+
+LOSSY = [C.QUANTIZER_BINARY, C.QUANTIZER_THREE, C.QUANTIZER_FOUR]
 
 # sums of up to 60 such values stay finite
 quantizer_inputs = hnp.arrays(
@@ -149,59 +154,42 @@ class TestSparsifyTopk:
 
 class TestQuantize:
     def test_binary_example(self):
-        symbols, scales = C.quantize(np.array([1.0, -2.0, 3.0]), 2)
-        assert scales == (2.0,)
-        np.testing.assert_array_equal(
-            C.dequantize(symbols, scales, C.QUANTIZER_BINARY), [2.0, -2.0, 2.0]
-        )
+        decoded = C.quantize(np.array([1.0, -2.0, 3.0]), C.QUANTIZER_BINARY)
+        np.testing.assert_array_equal(decoded, [2.0, -2.0, 2.0])
 
     def test_binary_single_element_exact(self):
-        symbols, scales = C.quantize(np.array([-1.7]), 2)
-        np.testing.assert_allclose(
-            C.dequantize(symbols, scales, C.QUANTIZER_BINARY), [-1.7]
-        )
+        decoded = C.quantize(np.array([-1.7]), C.QUANTIZER_BINARY)
+        np.testing.assert_allclose(decoded, [-1.7])
 
     def test_three_level_two_pass_scale(self):
         # provisional mean 2.7 zeroes 0.1; final scale = mean(|4|, |-4|) = 4
-        symbols, scales = C.quantize(np.array([0.1, 4.0, -4.0]), 3)
-        np.testing.assert_array_equal(symbols, [0, 1, -1])
-        assert scales == (4.0,)
-        np.testing.assert_array_equal(
-            C.dequantize(symbols, scales, C.QUANTIZER_THREE), [0.0, 4.0, -4.0]
-        )
+        decoded = C.quantize(np.array([0.1, 4.0, -4.0]), C.QUANTIZER_THREE)
+        np.testing.assert_array_equal(decoded, [0.0, 4.0, -4.0])
 
     def test_four_level_split(self):
         v = np.array([0.5, -0.5, 3.0, -3.0])
-        symbols, scales = C.quantize(v, 4)  # split at mean |v| = 1.75
-        np.testing.assert_array_equal(symbols, [1, -1, 2, -2])
-        assert scales == (0.5, 3.0)
-        np.testing.assert_array_equal(
-            C.dequantize(symbols, scales, C.QUANTIZER_FOUR), v
-        )
+        # split at mean |v| = 1.75: inner scale 0.5, outer scale 3
+        np.testing.assert_array_equal(C.quantize(v, C.QUANTIZER_FOUR), v)
 
     def test_all_zero_input(self):
-        symbols, scales = C.quantize(np.zeros(4), 3)
-        np.testing.assert_array_equal(symbols, np.zeros(4))
-        symbols, scales = C.quantize(np.zeros(4), 2)
-        assert scales == (0.0,)
+        for quantizer in (C.QUANTIZER_THREE, C.QUANTIZER_BINARY):
+            np.testing.assert_array_equal(C.quantize(np.zeros(4), quantizer), np.zeros(4))
 
-    @given(quantizer_inputs, st.sampled_from([2, 3, 4]))
+    def test_lossless_quantizer_rejected(self):
+        with pytest.raises(ConfigurationError, match="not a lossy quantizer"):
+            C.quantize(np.ones(3), C.QUANTIZER_NONE)
+
+    @given(quantizer_inputs, st.sampled_from(LOSSY))
     @settings(max_examples=300, deadline=None)
-    def test_matches_mean_oracle(self, v, levels):
-        symbols, scales = C.quantize(v, levels)
-        want_symbols, want_scales = mean_quantize(v, levels)
-        assert symbols.dtype == want_symbols.dtype
-        np.testing.assert_array_equal(symbols, want_symbols)
-        assert np.array(scales).tobytes() == np.array(want_scales).tobytes()
+    def test_matches_mean_oracle(self, v, quantizer):
+        decoded = C.quantize(v, quantizer)
+        assert decoded.dtype == np.float64
+        assert decoded.tobytes() == mean_quantize(v, quantizer).tobytes()
 
-    @given(finite_vectors, st.sampled_from([2, 3, 4]))
+    @given(finite_vectors, st.sampled_from(LOSSY))
     @settings(max_examples=100, deadline=None)
-    def test_sign_preservation(self, v, levels):
-        quantizer = {2: C.QUANTIZER_BINARY, 3: C.QUANTIZER_THREE, 4: C.QUANTIZER_FOUR}[
-            levels
-        ]
-        symbols, scales = C.quantize(v, levels)
-        decoded = C.dequantize(symbols, scales, quantizer)
+    def test_sign_preservation(self, v, quantizer):
+        decoded = C.quantize(v, quantizer)
         assert not np.any((v > 0) & (decoded < 0))
         assert not np.any((v < 0) & (decoded > 0))
 

@@ -27,7 +27,7 @@ def centralized_gd(spec, datasets, mu, rounds, w0=None):
     return trajectory
 
 
-def one_round(spec, datasets, w, mu, payload_mode):
+def one_round(spec, datasets, w, mu):
     """Server parameters after one full-participation round of run_round from w."""
     streams = core.RngStreams(0)
     clients = [
@@ -45,7 +45,7 @@ def one_round(spec, datasets, w, mu, payload_mode):
         population,
         spec,
         models.TrainConfig(step_size=mu, local_steps=1),
-        core.RoundConfig(payload_mode=payload_mode),
+        core.RoundConfig(),
         streams,
     )
     return server.params
@@ -88,7 +88,7 @@ class TestAggregateGradients:
         spec = models.ModelSpec(models.LINEAR, 2)
         data = models.Dataset(np.zeros((3, 2)), np.zeros(3))
         w = np.array([1.0, 2.0])
-        out = one_round(spec, [data], w, 0.1, core.PAYLOAD_GRADIENTS)
+        out = one_round(spec, [data], w, 0.1)
         np.testing.assert_array_equal(out, w)
 
     def test_single_client_is_local_update(self):
@@ -97,22 +97,26 @@ class TestAggregateGradients:
         data = models.Dataset(rng.standard_normal((8, 4)), (rng.random(8) < 0.5).astype(float))
         w = rng.standard_normal(4)
         mu = 0.2
-        out = one_round(spec, [data], w, mu, core.PAYLOAD_GRADIENTS)
+        out = one_round(spec, [data], w, mu)
         cfg = models.TrainConfig(step_size=mu, local_steps=1)
         expected = models.sgd_local_update(spec, w, data, cfg, rng)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_matches_weight_aggregation_cross_op(self):
+        # FedAvg oracle: the server's step on the clients' mean pseudo-gradient
+        # is the size-weighted mean of their locally updated models
         rng = np.random.default_rng(2)
         spec = models.ModelSpec(models.LINEAR, 3)
         datasets = [
-            models.Dataset(rng.standard_normal((6, 3)), rng.standard_normal(6))
-            for _ in range(2)
+            models.Dataset(rng.standard_normal((n, 3)), rng.standard_normal(n))
+            for n in (6, 9)
         ]
         w = rng.standard_normal(3)
+        cfg = models.TrainConfig(step_size=0.1, local_steps=1)
+        local = [models.sgd_local_update(spec, w, d, cfg, rng) for d in datasets]
         np.testing.assert_allclose(
-            one_round(spec, datasets, w, 0.1, core.PAYLOAD_GRADIENTS),
-            one_round(spec, datasets, w, 0.1, core.PAYLOAD_WEIGHTS),
+            one_round(spec, datasets, w, 0.1),
+            ch.weighted_mean(local, [d.size for d in datasets]),
             rtol=0,
             atol=1e-12,
         )
@@ -340,9 +344,9 @@ class TestRunTraining:
         [
             "seed = 5\nrounds = 6\nperiod = 2\nfeatures = 3\nclients = 3\n"
             "batch = 4\npayload = gradients",
-            "seed = 5\nrounds = 3\nfeatures = 3\nclients = 3\npayload = weights",
+            "seed = 5\nrounds = 3\nfeatures = 3\nclients = 3",
         ],
-        ids=["gradients-period-2", "weights"],
+        ids=["gradients-period-2", "gradients-period-1"],
     )
     def test_broadcast_shares_one_read_only_array(self, monkeypatch, text):
         # off-schedule rounds train from the shared array: a write into it
@@ -508,13 +512,6 @@ class TestFig2Properties:
 
 
 class TestRoundConfigValidation:
-    def test_analog_weights_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            core.RoundConfig(
-                payload_mode=core.PAYLOAD_WEIGHTS,
-                scheme=ch.TransportScheme(ch.OVER_THE_AIR),
-            )
-
     def test_bad_period(self):
         with pytest.raises(ConfigurationError):
             core.RoundConfig(period=0)

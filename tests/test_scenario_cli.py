@@ -72,9 +72,14 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="`sizes`"):
             parse_scenario("clients = 3\nsizes = 10,20")
 
-    def test_analog_scheme_requires_gradients(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario("scheme = over-the-air\npayload = weights")
+    def test_weights_payload_rejected(self):
+        # clients upload only the pseudo-gradient
+        with pytest.raises(ScenarioError, match="`payload`"):
+            parse_scenario("payload = weights")
+
+    def test_over_the_air_parses_without_payload_line(self):
+        sc = parse_scenario("scheme = over-the-air\nantennas = 4")
+        assert sc.round_cfg.scheme.kind == "over-the-air"
 
     def test_cs_measurements_must_compress(self):
         with pytest.raises(ScenarioError, match="`measurements`"):
