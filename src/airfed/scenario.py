@@ -261,5 +261,10 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), seed)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return parse_scenario(text, seed)

@@ -358,6 +358,18 @@ class TestRunCommand:
         f.write_text("mu = -5")
         assert run_cli(["run", str(f), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_non_utf8_file_exits_one_naming_the_byte(self, command, tmp_path, capsys):
+        good = tmp_path / "good.cfg"
+        good.write_text(BASE)
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n# caf\xff\n")
+        files = [str(good), str(bad)] if command == "compare" else [str(bad)]
+        out = tmp_path / "out"
+        assert run_cli([command, *files, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 14\n"
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "missing.cfg"), "--quiet"]) == 2
 
