@@ -150,6 +150,9 @@ class RngStreams:
     def noise(self, t: int) -> np.random.Generator:
         return self._rng(4, t)
 
+    def init(self) -> np.random.Generator:
+        return self._rng(6)
+
     def channel_seed(self, t: int) -> int:
         return int(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(5, t)).generate_state(1)[0]
@@ -319,6 +322,9 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
     d = scenario.model_spec.dim
+    # the server broadcasts its starting parameters: every client shares them
+    server = ServerState(models.initial_params(scenario.model_spec, streams.init()))
+    server.params.flags.writeable = False
     # streams first: building each one between its client's arrays raised
     # the benchmark's peak RSS on ota-crowd (64 clients) by 3.5 MB
     rngs = [streams.client(k) for k in range(len(datasets))]
@@ -326,13 +332,12 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
         ClientState(
             id=k,
             dataset=ds,
-            local_params=np.zeros(d),
+            local_params=server.params,
             encoder=comp_mod.EncoderState.zeros(d),
             rng=rngs[k],
         )
         for k, ds in enumerate(datasets)
     ]
-    server = ServerState(params=np.zeros(d))
 
     records: list[RoundRecord] = []
     ledger = BudgetLedger()

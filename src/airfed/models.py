@@ -138,6 +138,20 @@ def _unpack_mlp(spec: ModelSpec, w: np.ndarray):
     return W1, b1, w2, b2
 
 
+def initial_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """The server's starting parameters: zero for linear and logistic models.
+    The MLP draws W1, then w2, Glorot-uniform (Glorot & Bengio, 2010) with
+    zero biases; from W1 = w2 = 0 every hidden-layer gradient stays 0."""
+    w = np.zeros(spec.dim)
+    if spec.kind == MLP:
+        W1, _, w2, _ = _unpack_mlp(spec, w)  # views into w
+        p, h = spec.n_features, spec.hidden
+        for layer, fans in ((W1, p + h), (w2, h + 1)):
+            limit = np.sqrt(6.0 / fans)
+            layer[...] = rng.uniform(-limit, limit, layer.shape)
+    return w
+
+
 def _mlp_forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
     W1, b1, w2, b2 = _unpack_mlp(spec, w)
     Z = X @ W1.T + b1  # (n, h)

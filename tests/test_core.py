@@ -414,6 +414,17 @@ class TestRunTraining:
         # server never moved: loss stays at the w = 0 value
         assert records[0].global_loss == records[-1].global_loss
 
+    def test_mlp_beats_the_constant_predictor(self):
+        # from W1 = w2 = 0 the hidden-layer gradients are 0 and the MLP stays a
+        # constant predictor, whose loss is half the label variance
+        sc = parse_scenario(
+            "seed = 3\nrounds = 30\nmodel = mlp\nhidden = 8\nfeatures = 20\n"
+            "clients = 4\nclient_size = 30\nmu = 0.1"
+        )
+        records, _ = core.run_training(sc)
+        labels = models.make_synthetic(sc.partition, sc.seed).labels
+        assert records[-1].global_loss < 0.5 * np.var(labels)
+
     def test_monotone_loss_convex_small_mu(self):
         text = (
             "seed = 7\nrounds = 40\nmodel = logistic\nfeatures = 5\nclients = 4\n"

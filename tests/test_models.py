@@ -168,6 +168,23 @@ class TestSgdLocalUpdate:
         np.testing.assert_array_equal(w1, w2)
 
 
+class TestInitialParams:
+    @pytest.mark.parametrize("kind", [models.LINEAR, models.LOGISTIC])
+    def test_convex_models_start_at_zero(self, kind):
+        w = models.initial_params(models.ModelSpec(kind, 5), np.random.default_rng(0))
+        np.testing.assert_array_equal(w, np.zeros(5))
+
+    def test_mlp_glorot_weights_and_zero_biases(self):
+        spec = models.ModelSpec(models.MLP, 20, hidden=8)
+        w = models.initial_params(spec, np.random.default_rng(0))
+        W1, b1, w2, b2 = models._unpack_mlp(spec, w)
+        assert np.all(b1 == 0) and b2 == 0
+        assert np.all((W1 != 0) & (np.abs(W1) <= math.sqrt(6 / 28)))
+        assert np.all((w2 != 0) & (np.abs(w2) <= math.sqrt(6 / 9)))
+        again = models.initial_params(spec, np.random.default_rng(0))
+        assert again.tobytes() == w.tobytes()
+
+
 def masked_sigmoid(z):
     """Oracle: the sigmoid by boolean-mask scatters, one exponent per sign."""
     out = np.empty_like(z)
