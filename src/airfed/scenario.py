@@ -267,4 +267,4 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    return parse_scenario(text, seed)
+    return parse_scenario(text.removeprefix("\ufeff"), seed)  # drop a byte-order mark

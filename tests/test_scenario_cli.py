@@ -370,6 +370,18 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 14\n"
         assert not out.exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        f = tmp_path / "bom.cfg"
+        f.write_bytes(b"\xef\xbb\xbf" + BASE.encode())
+        assert run_cli(["validate", str(f)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_byte_order_mark_counts_in_the_byte_offset(self, tmp_path, capsys):
+        f = tmp_path / "bom.cfg"
+        f.write_bytes(b"\xef\xbb\xbfseed = 1\n# caf\xff\n")
+        assert run_cli(["validate", str(f)]) == 1
+        assert capsys.readouterr().err == f"error: {f}: not UTF-8 text at byte 17\n"
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "missing.cfg"), "--quiet"]) == 2
 
