@@ -140,46 +140,98 @@ def solve_aggregation_weights(
     raise SchemeError("no clients satisfy the aggregation constraints")
 
 
-def measurement_matrix(d: int, m_cs: int, seed: int) -> np.ndarray:
-    """Shared Gaussian projection matrix, identical at all clients."""
+def _hartley(x: np.ndarray) -> np.ndarray:
+    """Real Hartley transform: its kernel cas = cos + sin is Re - Im of the DFT's."""
+    f = np.fft.fft(x)
+    return f.real - f.imag
+
+
+@dataclass(frozen=True, eq=False)
+class HartleyProjection:
+    """Structurally random projection A = S H D (Do, Gan, Nguyen & Tran,
+    arXiv 1106.5037): D flips the signs of the d columns, H is the real
+    Hartley transform and S keeps m distinct rows. A product costs one FFT.
+    Not scaled by 1/sqrt(m): cas entries have unit mean square, as N(0, 1)
+    entries do, so column norms stay about sqrt(m)."""
+
+    signs: np.ndarray  # (d,) the diagonal of D, each +1 or -1
+    rows: np.ndarray  # (m,) the distinct rows of H that S keeps
+    cas: np.ndarray  # (d,) cas(2 pi t / d); H[i, j] = cas[(i * j) % d]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.size, self.signs.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return _hartley(self.signs * x)[self.rows]
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """A^T r: H is symmetric, so one transform of r placed on the rows."""
+        z = np.zeros(self.signs.size)
+        z[self.rows] = r
+        return self.signs * _hartley(z)
+
+    def column(self, j: int) -> np.ndarray:
+        return self.signs[j] * self.cas[self.rows * j % self.signs.size]
+
+    def column_norms(self) -> np.ndarray:
+        """Exact norms: cas^2 = 1 + sin(2 theta), so with u the rows' indicator
+        ||a_j||^2 = m - Im(fft(u))[2j mod d]. A nonzero term is at least
+        2 sin^2(pi/4d); a sum below half that is rounding on zeros of cas."""
+        m, d = self.shape
+        u = np.zeros(d)
+        u[self.rows] = 1.0
+        sq = m - np.fft.fft(u).imag[2 * np.arange(d) % d]
+        sq[sq < math.sin(math.pi / (4 * d)) ** 2] = 0.0
+        return np.sqrt(sq)
+
+
+def measurement_matrix(d: int, m_cs: int, seed: int) -> HartleyProjection:
+    """Shared projection A = S H D, identical at all clients; drawn per round."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-    return rng.standard_normal((m_cs, d))
+    signs = 1.0 - 2.0 * rng.integers(0, 2, d)
+    rows = rng.choice(d, size=m_cs, replace=False)
+    theta = (2 * np.pi / d) * np.arange(d)
+    return HartleyProjection(signs, rows, np.cos(theta) + np.sin(theta))
 
 
 def omp_recover(
-    A: np.ndarray, y: np.ndarray, sparsity: int, tol: float = 1e-8
+    A: np.ndarray | HartleyProjection, y: np.ndarray, sparsity: int, tol: float = 1e-8
 ) -> np.ndarray:
     """Orthogonal matching pursuit: greedy support growth, stopping at the
     sparsity budget or when the residual drops below tol.
 
-    Each step extends a thin QR factorisation of the selected columns (one
-    Gram-Schmidt pass plus one re-orthogonalisation) and projects the new
-    direction out of the residual, so the least-squares fit is never redone
-    from scratch; the triangular system is solved once, at the end. A column
-    whose orthogonalised norm is <= 1e-12 of its own lies in the span already
-    chosen: the fit cannot improve, so the search stops there.
+    A is a matrix or a `HartleyProjection`: the loop reads only A^T r, columns
+    and column norms. Each step extends a thin QR factorisation of the
+    selected columns (one Gram-Schmidt pass plus one re-orthogonalisation)
+    and projects the new direction out of the residual, so the least-squares
+    fit is never redone; the triangular system is solved once, at the end. A
+    column whose orthogonalised norm is <= 1e-12 of its own lies in the span
+    already chosen: the fit cannot improve, so the search stops there.
     """
     m, d = A.shape
-    norms = np.linalg.norm(A, axis=0)
+    if isinstance(A, np.ndarray):
+        correlate, column = lambda r: A.T @ r, lambda j: A[:, j]
+        norms = np.linalg.norm(A, axis=0)
+    else:
+        correlate, column, norms = A.rmatvec, A.column, A.column_norms()
     norms[norms == 0] = 1.0
     budget = min(sparsity, m, d)
     Q = np.empty((budget, m))  # row i: the i-th orthonormal direction
     R = np.zeros((budget, budget))
     support: list[int] = []
     taken = np.zeros(d, dtype=bool)
-    scores = np.empty(d)
     residual = y.astype(np.float64)
     for k in range(budget):
         if math.sqrt(residual @ residual) < tol:
             break
-        np.matmul(A.T, residual, out=scores)
-        np.abs(scores, out=scores)
-        scores /= norms
+        scores = np.abs(correlate(residual)) / norms
         scores[taken] = -1.0
         j = int(np.argmax(scores))
+        a_j = column(j)
         Qk = Q[:k]
-        r = Qk @ A[:, j]
-        q = A[:, j] - r @ Qk
+        r = Qk @ a_j
+        q = a_j - r @ Qk
         again = Qk @ q
         q -= again @ Qk
         r += again

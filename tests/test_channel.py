@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -365,6 +366,68 @@ class TestTransmitRoundOverTheAir:
         assert r2 > 0.99
 
 
+def dense_form(op):
+    """The operator's matrix, column j = A @ e_j. cas vanishes exactly at
+    t = 3d/8 and 7d/8, where the FFT leaves rounding-size entries: those are
+    set to 0, as the operator's exact column norms count them."""
+    A = np.column_stack([op @ e for e in np.eye(op.shape[1])])
+    A[np.abs(A) < 1e-12] = 0.0
+    return A
+
+
+@st.composite
+def projections(draw, min_m=1):
+    d = draw(st.integers(min_m + 1, 80))
+    m = draw(st.integers(min_m, d - 1))
+    return ch.measurement_matrix(d, m, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestHartleyProjection:
+    @given(projections(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_form(self, op, seed):
+        m, d = op.shape
+        A = dense_form(op)
+        assert A.shape == (m, d)
+        r = np.random.default_rng(seed).standard_normal(m)
+        scale = np.max(np.abs(A.T @ r))
+        np.testing.assert_allclose(op.rmatvec(r), A.T @ r, rtol=0, atol=1e-12 * scale)
+        for j in range(d):
+            np.testing.assert_allclose(op.column(j), A[:, j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            op.column_norms(), np.linalg.norm(A, axis=0), rtol=0, atol=1e-12 * math.sqrt(m)
+        )
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_distinct_signs_unit_and_seeded(self, data):
+        d = data.draw(st.integers(2, 80))
+        m = data.draw(st.integers(1, d - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        op = ch.measurement_matrix(d, m, seed)
+        assert op.shape == (m, d)
+        assert np.unique(op.rows).size == m
+        assert np.all((0 <= op.rows) & (op.rows < d))
+        assert np.all(np.abs(op.signs) == 1.0)
+        again = ch.measurement_matrix(d, m, seed)
+        for field in ("signs", "rows", "cas"):
+            np.testing.assert_array_equal(getattr(op, field), getattr(again, field))
+
+    @pytest.mark.parametrize("d", [7, 8, 64, 1000])
+    def test_unit_mean_square_entries(self, d):
+        A = dense_form(ch.measurement_matrix(d, d - 1, 0))
+        assert np.mean(A**2) == pytest.approx(1.0, abs=1.5 / d)
+
+    def test_column_on_zeros_of_cas_has_norm_zero(self):
+        # d = 8: cas vanishes at t = 3 and 7, so rows 3 and 7 meet zeros in
+        # columns 1 and 5 (3 * 5 = 7 and 7 * 5 = 3 mod 8)
+        op = dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7]))
+        norms = op.column_norms()
+        np.testing.assert_array_equal(np.flatnonzero(norms == 0), [1, 5])
+        for j in (1, 5):
+            np.testing.assert_allclose(op.column(j), 0.0, rtol=0, atol=1e-15)
+
+
 class TestTransmitRoundCsOverTheAir:
     def test_single_client_exact_recovery_vs_exhaustive_oracle(self):
         d, m_cs = 8, 4
@@ -379,7 +442,7 @@ class TestTransmitRoundCsOverTheAir:
         np.testing.assert_allclose(res.aggregated, dense, atol=1e-10)
         assert res.channel_uses == m_cs
         # oracle: exhaustive search over all 8 one-sparse supports
-        A = ch.measurement_matrix(d, m_cs, 11)
+        A = dense_form(ch.measurement_matrix(d, m_cs, 11))
         y = A @ dense
         best = None
         for support in range(d):
@@ -464,6 +527,26 @@ def assert_same_support(got, want, atol):
     )
 
 
+def near_tie(A, y, sparsity, tol=1e-8):
+    """Whether a step of the oracle's greedy search finds a runner-up score
+    within 1e-9 of the best, so that rounding decides the pick."""
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0] = 1.0
+    support, residual = [], y
+    for _ in range(min(sparsity, *A.shape)):
+        if np.linalg.norm(residual) < tol:
+            break
+        scores = np.abs(A.T @ residual) / norms
+        scores[support] = -1.0
+        second, top = np.sort(scores)[-2:]
+        if top - second <= 1e-9 * top:
+            return True
+        support.append(int(np.argmax(scores)))
+        coef, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        residual = y - A[:, support] @ coef
+    return False
+
+
 class TestOmp:
     def test_recovery_rate_gaussian(self):
         d, s = 64, 3
@@ -503,6 +586,26 @@ class TestOmp:
             assert abs(y - A @ got)[0] == pytest.approx(abs(y - A @ want)[0], abs=1e-9)
             return
         atol = 1e-9 * np.max(np.abs(want))
+        assert_same_support(got, want, atol)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    @given(projections(min_m=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_operator_matches_its_dense_form(self, op, data):
+        m, d = op.shape
+        A = dense_form(op)
+        sparsity = data.draw(st.integers(0, m + 5))
+        nonzeros = data.draw(st.integers(0, m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.zeros(d)
+        x[rng.choice(d, size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        y = A @ x + (0.1 * rng.standard_normal(m) if data.draw(st.booleans()) else 0.0)
+        # the Hartley symmetries make exact ties common at small d; the two
+        # products round differently, so rounding would pick the column
+        assume(not near_tie(A, y, sparsity))
+        got = ch.omp_recover(op, y, sparsity)
+        want = ch.omp_recover(A, y, sparsity)
+        atol = 1e-9 * max(1.0, np.max(np.abs(want)))
         assert_same_support(got, want, atol)
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
