@@ -67,6 +67,8 @@ class TransportScheme:
             self.measurements is None or self.measurements < 1
         ):
             raise ConfigurationError("cs-over-the-air requires measurements >= 1")
+        if self.kind != CS_OVER_THE_AIR and self.measurements is not None:
+            raise ConfigurationError(f"{self.kind} takes no measurements")
 
     @property
     def analog(self) -> bool:
@@ -251,17 +253,20 @@ def omp_recover(
     return x
 
 
-def weighted_mean(vectors: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Size-weighted mean of equal-length vectors, accumulated in list order."""
-    if not vectors:
+def weighted_mean(vectors: list[np.ndarray] | np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Size-weighted mean of equal-length vectors, a list or a matrix's rows:
+    one product of the shares |D_k| / sum |D| with the stacked rows."""
+    if len(vectors) == 0:
         raise ProtocolError("no vectors to aggregate")
-    total = sum(sizes)
-    out = np.zeros(vectors[0].shape)
-    for v, size in zip(vectors, sizes, strict=True):
-        if v.shape != out.shape:
-            raise ConfigurationError("vector lengths differ")
-        out += (size / total) * v
-    return out
+    shares = np.asarray(sizes, dtype=np.float64)
+    total = shares.sum()
+    if shares.shape != (len(vectors),) or not total > 0 or shares.min() < 0:
+        raise ConfigurationError("sizes must be one per vector, >= 0, with a positive sum")
+    try:
+        rows = np.asarray(vectors)  # a list is stacked; a matrix is used as it is
+    except ValueError:
+        raise ConfigurationError("vector lengths differ") from None
+    return (shares / total) @ rows
 
 
 @dataclass
@@ -293,48 +298,40 @@ def transmit_round(
     plan: AirPlan | None = None,
     rng: np.random.Generator | None = None,
 ) -> TransmitResult:
-    """Deliver one round of uplink payloads and aggregate at the server.
+    """Deliver one round of uplink payloads and aggregate at the server:
+    one coefficient vector times the decoded payload rows, the size shares
+    on digital links and the gains m^T h_k sqrt(p_k) over the air.
 
     A digital payload occupies one channel use per transmitted entry. An
     analog round needs the channel, its plan and the noise generator, and
     its entries in the order of `plan.transmitters`."""
     if not entries:
         raise SchemeError("no payloads to transmit")
-    d = entries[0].payload.d
     sizes = [e.size for e in entries]
     exact = weighted_mean([e.raw for e in entries], sizes)
-
-    if scheme.kind == IDEAL_DIGITAL:
-        agg = weighted_mean([e.dense for e in entries], sizes)
-        uses = sum(e.payload.indices.size for e in entries)
-        bits = sum(e.payload.payload_bits for e in entries)
-        return TransmitResult(agg, uses, bits, float(np.linalg.norm(agg - exact)))
-
-    if ch is None or plan is None or rng is None:
+    rows = np.asarray([e.dense for e in entries])  # (K, d), each decoded once
+    if scheme.analog and (ch is None or plan is None or rng is None):
         raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
-
-    if [e.client_id for e in entries] != plan.transmitters:
+    if scheme.analog and [e.client_id for e in entries] != plan.transmitters:
         # coefficients are taken by position: any other order mis-weights
         raise ConfigurationError("entries must follow plan.transmitters, in order")
-    coeffs = ch.gains[plan.transmitters] @ plan.beam * plan.amplitudes
-    payloads = np.zeros((len(entries), d))
-    for row, e in zip(payloads, entries):
-        row[e.payload.indices] = e.payload.values
-    y = coeffs @ payloads  # superposed payloads
-    if scheme.kind == CS_OVER_THE_AIR:
-        if scheme.measurements >= d:
-            raise ConfigurationError("measurements must be < d (no compression achieved)")
-        A = measurement_matrix(d, scheme.measurements, ch.seed)
-        y = A @ y  # projection is linear: project the sum once, not each payload
-    uses = y.size
-    if ch.noise_std > 0:
-        noise = ch.noise_std * rng.standard_normal((uses, ch.n_antennas))
-        y = y + noise @ plan.beam
-    if scheme.kind == CS_OVER_THE_AIR:
-        budget = sum(np.count_nonzero(e.payload.values) for e in entries)
-        agg = omp_recover(A, y, budget)
+    if scheme.kind == CS_OVER_THE_AIR and scheme.measurements >= rows.shape[1]:
+        raise ConfigurationError("measurements must be < d (no compression achieved)")
+
+    if scheme.kind == IDEAL_DIGITAL:
+        agg = weighted_mean(rows, sizes)
+        uses = sum(e.payload.indices.size for e in entries)
+        bits = sum(e.payload.payload_bits for e in entries)
     else:
+        y = (ch.gains[plan.transmitters] @ plan.beam * plan.amplitudes) @ rows
+        if scheme.kind == CS_OVER_THE_AIR:
+            A = measurement_matrix(y.size, scheme.measurements, ch.seed)
+            y = A @ y  # projection is linear: project the sum once, not each payload
+        uses, bits = y.size, y.size * FLOAT_BITS
+        if ch.noise_std > 0:
+            y = y + ch.noise_std * rng.standard_normal((uses, ch.n_antennas)) @ plan.beam
         agg = y
-    return TransmitResult(
-        agg, uses, uses * FLOAT_BITS, float(np.linalg.norm(agg - exact))
-    )
+        if scheme.kind == CS_OVER_THE_AIR:
+            budget = sum(np.count_nonzero(e.payload.values) for e in entries)
+            agg = omp_recover(A, y, budget)
+    return TransmitResult(agg, uses, bits, float(np.linalg.norm(agg - exact)))

@@ -229,10 +229,11 @@ def run_round(
             len(clients), cfg.n_antennas, cfg.noise_std, streams.channel_seed(t)
         )
 
+    draws = cfg.selection == SELECT_RANDOM and cfg.participation < 1
     participants = select_participants(
         client_ids,
         cfg.participation,
-        streams.participation(t) if cfg.participation < 1 else None,
+        streams.participation(t) if draws else None,
         channel=realization,
         mode=cfg.selection,
     )

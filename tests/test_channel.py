@@ -486,6 +486,12 @@ class TestTransmitRoundCsOverTheAir:
         assert len(entries) > 1
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12 * np.linalg.norm(y))
 
+    @pytest.mark.parametrize("kind", [ch.IDEAL_DIGITAL, ch.OVER_THE_AIR])
+    def test_measurements_only_for_compressed_over_the_air(self, kind):
+        with pytest.raises(ConfigurationError, match="measurements"):
+            ch.TransportScheme(kind, 5)
+        assert ch.TransportScheme(kind).measurements is None
+
     def test_measurements_must_compress(self):
         dense = np.zeros(4)
         r = ch.ChannelRealization(np.array([[1.0]]), 0.0)
@@ -671,14 +677,26 @@ class TestMetamorphic:
         K = len(sizes)
         N = data.draw(st.integers(1, 40))
         d = data.draw(st.integers(1, 16))
+        # sparse, quantized and (threshold above every entry) empty payloads
+        spec = data.draw(
+            st.builds(
+                C.CodecSpec,
+                sparsifier=st.sampled_from(C.SPARSIFIERS),
+                threshold=st.sampled_from([0.0, 0.5, 100.0]),
+                keep_fraction=st.floats(0.05, 1.0),
+                quantizer=st.sampled_from(C.QUANTIZERS),
+            )
+        )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
         targets = {k: sizes[k] / sum(sizes) for k in range(K)}
         plan = ch.solve_aggregation_weights(r, targets, 1e6)
-        vectors = [rng.standard_normal(d) for _ in range(K)]
         entries = [
-            e for e in make_entries(vectors, sizes) if e.client_id in plan.transmitters
+            ch.TransmitEntry(k, C.encode(v, spec), v, sizes[k])
+            for k, v in enumerate(rng.standard_normal(d) for _ in range(K))
+            if k in plan.transmitters
         ]
         ota = ch.transmit_round(entries, OTA, r, plan, np.random.default_rng(0))
         digital = ch.transmit_round(entries, DIGITAL)
         np.testing.assert_allclose(ota.aggregated, digital.aggregated, rtol=0, atol=1e-8)
+        assert ota.aggregation_error == pytest.approx(digital.aggregation_error, abs=1e-8)

@@ -68,6 +68,28 @@ class TestAggregateWeights:
         with pytest.raises(ProtocolError):
             ch.weighted_mean([], [])
 
+    @pytest.mark.parametrize(
+        "vectors, sizes",
+        [
+            ([np.ones(2)], [0]),
+            ([np.ones(2), np.zeros(2)], [0, 0]),
+            ([np.ones(2), np.zeros(2)], [2, -1]),
+            ([np.ones(2), np.zeros(2)], [1]),
+            ([np.ones(2)], [1, 1]),
+            ([np.ones(2), np.ones(3)], [1, 1]),
+        ],
+        ids=["zero-total", "all-zero", "negative", "fewer-sizes", "more-sizes", "ragged"],
+    )
+    def test_invalid_sizes_or_lengths_rejected(self, vectors, sizes):
+        with pytest.raises(ConfigurationError):
+            ch.weighted_mean(vectors, sizes)
+
+    def test_rows_of_a_matrix_equal_the_list(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(
+            ch.weighted_mean(rows, [1, 2, 3]), ch.weighted_mean(list(rows), [1, 2, 3])
+        )
+
     def test_drop_equals_zero_size_renormalized(self):
         # dropping a client is the same as |D_k| = 0 plus renormalization
         rng = np.random.default_rng(0)
@@ -285,6 +307,17 @@ class TestRunTraining:
         monkeypatch.setattr(owner, name, unreachable)
         records, _ = run_scenario("seed = 1\nrounds = 3\nclients = 3\nfeatures = 3")
         assert [r.participants for r in records] == [[0, 1, 2]] * 3
+
+    def test_channel_selection_builds_no_participation_stream(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("participation reached")
+
+        monkeypatch.setattr(core.RngStreams, "participation", unreachable)
+        records, _ = run_scenario(
+            "seed = 1\nrounds = 3\nclients = 4\nfeatures = 3\n"
+            "participation = 0.5\nselection = channel\nantennas = 2"
+        )
+        assert [len(r.participants) for r in records] == [2] * 3
 
     def test_same_seed_identical_streams(self):
         base = "seed = 3\nrounds = 8\nclients = 3\nparticipation = 0.5\ndelay_jitter = 0.1\ndeadline = 5"
