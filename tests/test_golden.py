@@ -35,6 +35,7 @@ CASES = {
     "baseline": ROOT / "scenarios" / "baseline.cfg",
     "cs_ota_demo": ROOT / "scenarios" / "cs_ota_demo.cfg",
     "ota_demo": ROOT / "scenarios" / "ota_demo.cfg",
+    "channel_select": ROOT / "tests" / "scenarios" / "channel_select.cfg",
 }
 CSV_FILES = ("rounds.csv", "budget.csv", "events.csv")
 FLOAT_CELLS = {
