@@ -24,6 +24,7 @@ CS_OVER_THE_AIR = "cs-over-the-air"
 SCHEMES = (IDEAL_DIGITAL, OVER_THE_AIR, CS_OVER_THE_AIR)
 
 GAIN_EPS = 1e-9
+OMP_TOL = 1e-8  # residual norm at which matching pursuit stops
 
 
 @dataclass
@@ -198,10 +199,10 @@ def measurement_matrix(d: int, m_cs: int, seed: int) -> HartleyProjection:
 
 
 def omp_recover(
-    A: np.ndarray | HartleyProjection, y: np.ndarray, sparsity: int, tol: float = 1e-8
+    A: np.ndarray | HartleyProjection, y: np.ndarray, sparsity: int
 ) -> np.ndarray:
     """Orthogonal matching pursuit: greedy support growth, stopping at the
-    sparsity budget or when the residual drops below tol.
+    sparsity budget or when the residual drops below OMP_TOL.
 
     A is a matrix or a `HartleyProjection`: the loop reads only A^T r, columns
     and column norms. Each step extends a thin QR factorisation of the
@@ -225,7 +226,7 @@ def omp_recover(
     taken = np.zeros(d, dtype=bool)
     residual = y.astype(np.float64)
     for k in range(budget):
-        if math.sqrt(residual @ residual) < tol:
+        if math.sqrt(residual @ residual) < OMP_TOL:
             break
         scores = np.abs(correlate(residual)) / norms
         scores[taken] = -1.0
@@ -303,15 +304,17 @@ def transmit_round(
     on digital links and the gains m^T h_k sqrt(p_k) over the air.
 
     A digital payload occupies one channel use per transmitted entry. An
-    analog round needs the channel, its plan and the noise generator, and
-    its entries in the order of `plan.transmitters`."""
+    analog round needs the channel, its plan and its entries in the order
+    of `plan.transmitters`; a noisy one also needs the noise generator."""
     if not entries:
         raise SchemeError("no payloads to transmit")
     sizes = [e.size for e in entries]
     exact = weighted_mean([e.raw for e in entries], sizes)
     rows = np.asarray([e.dense for e in entries])  # (K, d), each decoded once
-    if scheme.analog and (ch is None or plan is None or rng is None):
-        raise ConfigurationError("analog schemes require a channel, a plan and a noise rng")
+    if scheme.analog and (ch is None or plan is None):
+        raise ConfigurationError("analog schemes require a channel and a plan")
+    if scheme.analog and ch.noise_std > 0 and rng is None:
+        raise ConfigurationError("a noisy analog channel requires a noise rng")
     if scheme.analog and [e.client_id for e in entries] != plan.transmitters:
         # coefficients are taken by position: any other order mis-weights
         raise ConfigurationError("entries must follow plan.transmitters, in order")

@@ -70,7 +70,7 @@ def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
                     r.round_index,
                     _fmt(r.global_loss),
                     _fmt(r.aggregation_error),
-                    ";".join(str(c) for c in r.participants),
+                    core.format_ids(r.participants),
                     r.uplink_uses,
                     r.uplink_bits,
                 ]

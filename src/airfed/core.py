@@ -6,6 +6,7 @@ deadline handling.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,45 +87,39 @@ class RoundRecord:
 def select_participants(
     client_ids: list[int],
     fraction: float,
-    rng: np.random.Generator | None,
+    rng_factory: Callable[[], np.random.Generator] | None,
     channel: ch_mod.ChannelRealization | None = None,
     mode: str = SELECT_RANDOM,
 ) -> list[int]:
-    """Choose max(1, ceil(fraction*K)) clients; channel-aware mode ranks by
-    descending channel norm with ties to the lower id. Random mode draws
-    from `rng` only when it leaves a client out, so full participation
-    may pass None."""
+    """Choose max(1, ceil(fraction*K)) clients, in ascending id order;
+    channel-aware mode ranks by descending channel norm with ties to the
+    lower id, so `client_ids` must ascend. Random mode builds its generator
+    from `rng_factory` only when it leaves a client out, so full
+    participation may pass None."""
     if not (0 < fraction <= 1):
         raise ConfigurationError("fraction must be in (0, 1]")
-    k = max(1, math.ceil(fraction * len(client_ids)))
     if mode == SELECT_CHANNEL:
         if channel is None:
             raise ConfigurationError("channel-aware selection needs a realization")
-        ranked = sorted(
-            client_ids, key=lambda cid: (-float(np.linalg.norm(channel.gains[cid])), cid)
-        )
-        return sorted(ranked[:k])
+        norms = np.linalg.norm(channel.gains[client_ids], axis=1)
+        return [client_ids[i] for i in comp_mod.topk_indices(norms, fraction)]
+    k = max(1, math.ceil(fraction * len(client_ids)))
     if k >= len(client_ids):
         return sorted(client_ids)
-    chosen = rng.choice(np.array(client_ids), size=k, replace=False)
+    chosen = rng_factory().choice(np.array(client_ids), size=k, replace=False)
     return sorted(int(c) for c in chosen)
 
 
-def sample_delays(
-    client_ids: list[int], mean: float, jitter: float, rng: np.random.Generator
-) -> dict[int, float]:
-    """Client id -> delay = mean + jitter * u with u uniform in [-1, 1],
-    floored at 0; one u per client, in list order."""
-    u = rng.uniform(-1.0, 1.0, size=len(client_ids))
-    return {cid: max(0.0, mean + jitter * float(x)) for cid, x in zip(client_ids, u)}
-
-
-def apply_deadline(delays: dict[int, float], deadline: float | None) -> list[int]:
-    if any(v < 0 for v in delays.values()):
-        raise ConfigurationError("delays must be >= 0")
-    if deadline is None:
-        return sorted(delays)
-    return sorted(cid for cid, v in delays.items() if v <= deadline)
+def deadline_survivors(
+    participants: list[int], cfg: RoundConfig, rng: np.random.Generator
+) -> list[int]:
+    """Participants whose delay meets `cfg.deadline`, in list order. The
+    delay is mean + jitter * u with u uniform in [-1, 1], floored at 0;
+    one u per participant, drawn in list order. The deadline is >= 0, so
+    the floor never changes who meets it and is not taken."""
+    u = rng.uniform(-1.0, 1.0, size=len(participants))
+    delays = cfg.delay_mean + cfg.delay_jitter * u
+    return [cid for cid, v in zip(participants, delays) if v <= cfg.deadline]
 
 
 @dataclass
@@ -159,8 +154,9 @@ class RngStreams:
         )
 
 
-def _ids(client_ids) -> str:
-    """Client ids in ascending order, `;`-separated as in rounds.csv."""
+def format_ids(client_ids) -> str:
+    """Client ids in ascending order, `;`-separated: the form of the id
+    lists in rounds.csv and events.csv."""
     return ";".join(str(cid) for cid in sorted(client_ids))
 
 
@@ -229,11 +225,10 @@ def run_round(
             len(clients), cfg.n_antennas, cfg.noise_std, streams.channel_seed(t)
         )
 
-    draws = cfg.selection == SELECT_RANDOM and cfg.participation < 1
     participants = select_participants(
         client_ids,
         cfg.participation,
-        streams.participation(t) if draws else None,
+        lambda: streams.participation(t),
         channel=realization,
         mode=cfg.selection,
     )
@@ -242,12 +237,10 @@ def run_round(
     # stream, the channel, the data sizes and the cap, never a trained model
     survivors = participants
     if cfg.deadline is not None:
-        delays = sample_delays(
-            participants, cfg.delay_mean, cfg.delay_jitter, streams.delays(t)
-        )
-        survivors = apply_deadline(delays, cfg.deadline)
+        survivors = deadline_survivors(participants, cfg, streams.delays(t))
         if survivors and len(survivors) < len(participants):
-            rec.events.append("deadline-miss: " + _ids(set(participants) - set(survivors)))
+            missed = set(participants) - set(survivors)
+            rec.events.append("deadline-miss: " + format_ids(missed))
 
     scheme = cfg.scheme
     plan = None
@@ -268,7 +261,7 @@ def run_round(
     sending = set(transmitters)
     excluded = set(survivors) - sending
     if excluded:
-        rec.events.append("excluded: " + _ids(excluded))
+        rec.events.append("excluded: " + format_ids(excluded))
 
     # compute: every participant the plan keeps trains and encodes;
     # stragglers do too, and miss the deadline only afterwards. Participants
@@ -295,8 +288,9 @@ def run_round(
         rec.events.append("protocol-error: all clients missed the deadline")
         return _finish(rec, server, population, model_spec)
 
+    noisy = scheme.analog and cfg.noise_std > 0
     result = ch_mod.transmit_round(
-        entries, scheme, realization, plan, streams.noise(t) if scheme.analog else None
+        entries, scheme, realization, plan, streams.noise(t) if noisy else None
     )
 
     server.params = server.params - train_cfg.step_size * result.aggregated

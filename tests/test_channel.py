@@ -320,8 +320,12 @@ class TestTransmitRoundOverTheAir:
 
     def test_analog_round_needs_a_noise_generator(self):
         r, plan, entries = self._solved_setup(d=8, sigma=0.1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="noise rng"):
             ch.transmit_round(entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan)
+        # a noiseless channel draws no noise, so it needs no generator
+        r, plan, entries = self._solved_setup(d=8, sigma=0.0)
+        res = ch.transmit_round(entries, ch.TransportScheme(ch.OVER_THE_AIR), r, plan)
+        assert res.aggregation_error < 1e-8
 
     @pytest.mark.parametrize(
         "reorder",

@@ -166,58 +166,110 @@ class TestAggregateGradients:
 class TestSelectParticipants:
     def test_fraction_one_selects_all(self):
         ids = list(range(7))
-        out = core.select_participants(ids, 1.0, np.random.default_rng(0))
+        out = core.select_participants(ids, 1.0, lambda: np.random.default_rng(0))
         assert out == ids
 
     def test_channel_aware_ranking(self):
         gains = np.array([[0.1], [5.0], [2.0]])
         realization = ch.ChannelRealization(gains, 0.0)
         out = core.select_participants(
-            [0, 1, 2], 2 / 3, np.random.default_rng(0),
-            channel=realization, mode=core.SELECT_CHANNEL,
+            [0, 1, 2], 2 / 3, None, channel=realization, mode=core.SELECT_CHANNEL
         )
         assert out == [1, 2]
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        copies=st.integers(0, 6),
+        antennas=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_channel_aware_equals_sorted_ranking(self, seed, n, copies, antennas):
+        rng = np.random.default_rng(seed)
+        gains = rng.standard_normal((n, antennas))
+        # repeated rows, shuffled among the others, tie on the exact norm
+        gains = np.vstack([gains, gains[rng.integers(0, n, size=copies)]])
+        realization = ch.ChannelRealization(gains[rng.permutation(len(gains))], 0.0)
+        ids = list(range(len(gains)))
+        for k in range(1, len(ids) + 1):
+            fraction = k / len(ids)
+            # oracle: rank every id by descending norm, ties to the lower id
+            count = max(1, math.ceil(fraction * len(ids)))
+            ranked = sorted(
+                ids,
+                key=lambda cid: (-float(np.linalg.norm(realization.gains[cid])), cid),
+            )
+            got = core.select_participants(
+                ids, fraction, None, channel=realization, mode=core.SELECT_CHANNEL
+            )
+            assert got == sorted(ranked[:count])
+
     def test_same_seed_same_subset(self):
         ids = list(range(10))
-        a = core.select_participants(ids, 0.3, np.random.default_rng(5))
-        b = core.select_participants(ids, 0.3, np.random.default_rng(5))
+        a = core.select_participants(ids, 0.3, lambda: np.random.default_rng(5))
+        b = core.select_participants(ids, 0.3, lambda: np.random.default_rng(5))
         assert a == b
+
+
+class FixedDraws:
+    """A generator stand-in whose uniform draws are the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == self.u.size
+        return self.u
+
+
+def delays_cfg(deadline, mean=2.0, jitter=1.0):
+    return core.RoundConfig(deadline=deadline, delay_mean=mean, delay_jitter=jitter)
 
 
 class TestApplyDeadline:
     def test_no_deadline_all_survive(self):
-        assert core.apply_deadline({0: 1.0, 1: 9.0}, None) == [0, 1]
+        # a deadline at mean + jitter is no deadline: no delay can miss it
+        survivors = core.deadline_survivors([0, 1], delays_cfg(3.0), FixedDraws([-1, 1]))
+        assert survivors == [0, 1]
 
     def test_deadline_filters(self):
-        assert core.apply_deadline({0: 1.0, 1: 2.0, 2: 3.0}, 2.0) == [0, 1]
+        # delays 1, 2 and 3: the one above the deadline misses it
+        u = FixedDraws([-1.0, 0.0, 1.0])
+        assert core.deadline_survivors([3, 5, 8], delays_cfg(2.0), u) == [3, 5]
 
     def test_survivor_weights_renormalize(self):
         sizes = {0: 3, 1: 5, 2: 2}
-        survivors = core.apply_deadline({0: 1.0, 1: 5.0, 2: 1.5}, 2.0)
+        u = FixedDraws([-1.0, 1.0, -0.5])  # delays 1, 3 and 1.5
+        survivors = core.deadline_survivors([0, 1, 2], delays_cfg(2.0), u)
         total = sum(sizes[c] for c in survivors)
         weights = [sizes[c] / total for c in survivors]
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_delay_model_range(self):
+        # every delay lies in [mean - jitter, mean + jitter] = [1.5, 2.5]
+        ids = list(range(10))
         for seed in range(20):
-            d = core.sample_delays([0], 2.0, 0.5, np.random.default_rng(seed))[0]
-            assert 1.5 <= d <= 2.5
+            for deadline, want in ((2.5, ids), (math.nextafter(1.5, 0), [])):
+                cfg = delays_cfg(deadline, jitter=0.5)
+                rng = np.random.default_rng(seed)
+                assert core.deadline_survivors(ids, cfg, rng) == want
 
     @given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_delays_equal_sequential_scalar_draws(self, n, seed):
         rng = np.random.default_rng(seed)
         mean, jitter = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
+        cfg = delays_cfg(float(rng.uniform(0, 4)), mean, jitter)
         client_ids = list(range(n))
-        # oracle: one scalar draw per client, in list order
+        # oracle: one scalar draw per client, in list order, floored at 0
         scalar = np.random.default_rng(seed + 1)
-        expected = {
+        delays = {
             cid: max(0.0, mean + jitter * float(scalar.uniform(-1.0, 1.0)))
             for cid in client_ids
         }
+        expected = [cid for cid in client_ids if delays[cid] <= cfg.deadline]
         rng = np.random.default_rng(seed + 1)
-        assert core.sample_delays(client_ids, mean, jitter, rng) == expected
+        assert core.deadline_survivors(client_ids, cfg, rng) == expected
 
 
 def run_scenario(text):
@@ -293,20 +345,42 @@ class TestRunTraining:
         assert records == [] and ledger.entries == []
 
     @pytest.mark.parametrize(
-        "owner, name",
+        "owner, name, clients, extra",
         [
-            (core, "sample_delays"),  # no deadline
-            (core.RngStreams, "noise"),  # ideal-digital links
-            (core.RngStreams, "participation"),  # every client takes part
+            # no deadline
+            pytest.param(
+                core, "deadline_survivors", 3, "", id="airfed.core-deadline_survivors"
+            ),
+            # ideal-digital links
+            pytest.param(core.RngStreams, "noise", 3, "", id="RngStreams-noise"),
+            # every client takes part
+            pytest.param(
+                core.RngStreams, "participation", 3, "", id="RngStreams-participation"
+            ),
+            # ceil(0.5 * 1) keeps the one client
+            pytest.param(
+                core.RngStreams, "participation", 1, "\nparticipation = 0.5",
+                id="RngStreams-participation-one-client",
+            ),
+            # noiseless over-the-air links
+            pytest.param(
+                core.RngStreams, "noise", 3,
+                "\nscheme = over-the-air\nantennas = 4\npower_cap = 1e6\nsigma = 0",
+                id="RngStreams-noise-sigma-0",
+            ),
         ],
     )
-    def test_a_round_builds_no_stream_it_never_draws_from(self, monkeypatch, owner, name):
+    def test_a_round_builds_no_stream_it_never_draws_from(
+        self, monkeypatch, owner, name, clients, extra
+    ):
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{name} reached")
 
         monkeypatch.setattr(owner, name, unreachable)
-        records, _ = run_scenario("seed = 1\nrounds = 3\nclients = 3\nfeatures = 3")
-        assert [r.participants for r in records] == [[0, 1, 2]] * 3
+        records, _ = run_scenario(
+            f"seed = 1\nrounds = 3\nclients = {clients}\nfeatures = 3{extra}"
+        )
+        assert [r.participants for r in records] == [list(range(clients))] * 3
 
     def test_channel_selection_builds_no_participation_stream(self, monkeypatch):
         def unreachable(*args, **kwargs):
