@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AirfedError
 
 
-@dataclass
-class LedgerEntry:
+class LedgerEntry(NamedTuple):  # the fields are budget.csv's columns, in order
     round_index: int
     scheme: str
     uplink_uses: int
@@ -40,7 +40,7 @@ class BudgetLedger:
         scheme: str,
         uplink_uses: int,
         uplink_bits: int,
-        downlink_bits: int = 0,
+        downlink_bits: int,
     ) -> None:
         if min(uplink_uses, uplink_bits, downlink_bits) < 0:
             raise AirfedError("ledger counts must be non-negative")
@@ -54,10 +54,7 @@ class BudgetLedger:
             writer.writerow(
                 ["round", "scheme", "uplink_uses", "uplink_bits", "downlink_bits"]
             )
-            for e in self.entries:
-                writer.writerow(
-                    [e.round_index, e.scheme, e.uplink_uses, e.uplink_bits, e.downlink_bits]
-                )
+            writer.writerows(self.entries)
 
 
 def baseline_uses(round_indices: list[int], period: int, n_clients: int, dim: int) -> int:

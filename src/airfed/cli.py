@@ -33,14 +33,14 @@ def _fmt_gain(gain: float) -> str:
     return "undefined" if math.isnan(gain) else _fmt(gain)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+def _final_loss(records: list[core.RoundRecord]) -> float:
+    return records[-1].global_loss if records else math.nan
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="airfed", description="Federated-learning-over-wireless simulator")
+    parser = argparse.ArgumentParser(
+        prog="airfed", description="Federated-learning-over-wireless simulator"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, nargs in (("run", None), ("compare", "+"), ("validate", None)):
         p = sub.add_parser(name)
@@ -51,41 +51,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# rounds.csv: one (header, value of a RoundRecord) pair per column, in order
+ROUNDS_COLUMNS = (
+    ("round", lambda r: r.round_index),
+    ("global_loss", lambda r: _fmt(r.global_loss)),
+    ("aggregation_error", lambda r: _fmt(r.aggregation_error)),
+    ("participants", lambda r: core.format_ids(r.participants)),
+    ("uplink_uses", lambda r: r.uplink_uses),
+    ("uplink_bits", lambda r: r.uplink_bits),
+)
+
+
 def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round",
-                "global_loss",
-                "aggregation_error",
-                "participants",
-                "uplink_uses",
-                "uplink_bits",
-            ]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.round_index,
-                    _fmt(r.global_loss),
-                    _fmt(r.aggregation_error),
-                    core.format_ids(r.participants),
-                    r.uplink_uses,
-                    r.uplink_bits,
-                ]
-            )
+        writer.writerow([header for header, _ in ROUNDS_COLUMNS])
+        writer.writerows([value(r) for _, value in ROUNDS_COLUMNS] for r in records)
 
 
 def write_events_csv(path: Path, records: list[core.RoundRecord]) -> None:
-    """One row per round event; `kind` is the event text before its first ':'."""
+    """One row per recorded (kind, detail) event, in round order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "kind", "detail"])
-        for r in records:
-            for event in r.events:
-                kind, _, detail = event.partition(":")
-                writer.writerow([r.round_index, kind, detail.strip()])
+        writer.writerows((r.round_index, *event) for r in records for event in r.events)
 
 
 def write_summary(
@@ -94,7 +83,6 @@ def write_summary(
     records: list[core.RoundRecord],
     ledger: BudgetLedger,
 ) -> None:
-    final_loss = records[-1].global_loss if records else float("nan")
     base_uses = baseline_uses(
         [r.round_index for r in records],
         scenario.round_cfg.period,
@@ -103,7 +91,7 @@ def write_summary(
     )
     gain = _fmt_gain(communication_gain(base_uses, ledger.total_uses))
     lines = [
-        f"final_loss = {_fmt(final_loss)}",
+        f"final_loss = {_fmt(_final_loss(records))}",
         f"rounds = {len(records)}",
         f"total_uplink_uses = {ledger.total_uses}",
         f"total_uplink_bits = {ledger.total_uplink_bits}",
@@ -131,7 +119,7 @@ def cmd_run(args) -> int:
         records, ledger = core.run_training(scenario)
     except ProtocolError as exc:
         # a failed run leaves its finished rounds, but no summary
-        write_round_files(out, exc.records, exc.ledger)
+        write_round_files(out, exc.records, core.ledger_of(exc.records))
         raise
     write_round_files(out, records, ledger)
     write_summary(out / "summary.txt", scenario, records, ledger)
@@ -157,13 +145,10 @@ def cmd_compare(args) -> int:
     first_uses = None
     for path, sc in zip(args.scenario, scenarios):
         records, ledger = core.run_training(sc)
-        final_loss = records[-1].global_loss if records else float("nan")
-        to_threshold = -1
-        if threshold is not None:
-            for r in records:
-                if r.global_loss <= threshold:
-                    to_threshold = r.round_index
-                    break
+        reached = (
+            r.round_index for r in records
+            if threshold is not None and r.global_loss <= threshold
+        )
         if first_uses is None:
             first_uses = ledger.total_uses
         gain = _fmt_gain(communication_gain(first_uses, ledger.total_uses))
@@ -171,8 +156,8 @@ def cmd_compare(args) -> int:
             [
                 sc.round_cfg.scheme.kind,
                 sc.round_cfg.codec.codec_id,
-                _fmt(final_loss),
-                to_threshold,
+                _fmt(_final_loss(records)),
+                next(reached, -1),
                 ledger.total_uses,
                 gain,
             ]
@@ -201,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return cmd_run(args)

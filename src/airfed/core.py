@@ -81,7 +81,7 @@ class RoundRecord:
     uplink_uses: int = 0
     uplink_bits: int = 0
     downlink_bits: int = 0
-    events: list[str] = field(default_factory=list)
+    events: list[tuple[str, str]] = field(default_factory=list)  # (kind, detail)
 
 
 def select_participants(
@@ -240,7 +240,7 @@ def run_round(
         survivors = deadline_survivors(participants, cfg, streams.delays(t))
         if survivors and len(survivors) < len(participants):
             missed = set(participants) - set(survivors)
-            rec.events.append("deadline-miss: " + format_ids(missed))
+            rec.events.append(("deadline-miss", format_ids(missed)))
 
     scheme = cfg.scheme
     plan = None
@@ -251,17 +251,17 @@ def run_round(
         try:
             plan = ch_mod.solve_aggregation_weights(realization, targets, cfg.power_cap)
         except SchemeError:
-            rec.events.append(
-                "scheme-error: aggregation constraints unsatisfiable, "
-                "falling back to ideal-digital"
-            )
+            rec.events.append((
+                "scheme-error",
+                "aggregation constraints unsatisfiable, falling back to ideal-digital",
+            ))
             scheme = ch_mod.TransportScheme(ch_mod.IDEAL_DIGITAL)
         else:
             transmitters = plan.transmitters
     sending = set(transmitters)
     excluded = set(survivors) - sending
     if excluded:
-        rec.events.append("excluded: " + format_ids(excluded))
+        rec.events.append(("excluded", format_ids(excluded)))
 
     # compute: every participant the plan keeps trains and encodes;
     # stragglers do too, and miss the deadline only afterwards. Participants
@@ -285,7 +285,7 @@ def run_round(
         if cid in sending:
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, sizes[cid]))
     if not survivors:
-        rec.events.append("protocol-error: all clients missed the deadline")
+        rec.events.append(("protocol-error", "all clients missed the deadline"))
         return _finish(rec, server, population, model_spec)
 
     noisy = scheme.analog and cfg.noise_std > 0
@@ -335,7 +335,6 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     ]
 
     records: list[RoundRecord] = []
-    ledger = BudgetLedger()
     for _ in range(scenario.rounds):
         try:
             rec = run_round(
@@ -349,14 +348,15 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
             )
         except ProtocolError as exc:
             # the finished rounds are the evidence of a failed run
-            exc.records, exc.ledger = records, ledger
+            exc.records = records
             raise
         records.append(rec)
-        ledger.record(
-            rec.round_index,
-            rec.scheme,
-            rec.uplink_uses,
-            rec.uplink_bits,
-            rec.downlink_bits,
-        )
-    return records, ledger
+    return records, ledger_of(records)
+
+
+def ledger_of(records: list[RoundRecord]) -> BudgetLedger:
+    """The communication ledger of finished rounds, one entry per round."""
+    ledger = BudgetLedger()
+    for r in records:
+        ledger.record(r.round_index, r.scheme, r.uplink_uses, r.uplink_bits, r.downlink_bits)
+    return ledger

@@ -12,11 +12,10 @@ class ConfigurationError(AirfedError):
 class ProtocolError(AirfedError):
     """Runtime federation failure (e.g. a round diverged).
 
-    When it stops a training run, `records` and `ledger` hold the rounds
-    finished before it."""
+    When it stops a training run, `records` holds the rounds finished
+    before it."""
 
     records = ()
-    ledger = None
 
 
 class SchemeError(AirfedError):

@@ -8,10 +8,10 @@ sum makes. Columns are compared by name, so an output may gain columns.
 
 A change that moves outputs on purpose rewrites the files with
 
-    PYTHONPATH=src python3 tests/test_golden.py --regen
+    PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]
 
-which prints, per file, the values that moved and the final loss before and
-after.
+which rewrites the named cases (every case when none is named) and prints,
+per file, the values that moved and the final loss before and after.
 """
 
 from __future__ import annotations
@@ -119,13 +119,14 @@ def test_moved_names_a_changed_cell():
     ]
 
 
-def regen() -> None:
-    """Rewrite every golden file and list, per file, what moved."""
+def regen(names: list[str]) -> None:
+    """Rewrite the golden files of the named cases and list, per file, what
+    moved."""
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, path in sorted(CASES.items()):
+    for name in names:
         target = golden_path(name)
         old = json.loads(target.read_text()) if target.exists() else None
-        new = outputs(path)
+        new = outputs(CASES[name])
         target.write_text(json.dumps(new, indent=0) + "\n")
         if old is None:
             print(f"{name}: new file")
@@ -138,7 +139,23 @@ def regen() -> None:
             print(f"  {line}")
 
 
+def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
+    committed = json.loads(golden_path("baseline").read_text())
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    stale = golden_path("ota_demo")
+    stale.write_text("{}\n")
+    regen(["baseline"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["baseline.json", "ota_demo.json"]
+    assert stale.read_text() == "{}\n"
+    assert moved(committed, json.loads(golden_path("baseline").read_text())) == []
+    assert capsys.readouterr().out == "baseline: new file\n"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --regen")
-    regen()
+    flag, *names = sys.argv[1:] or [""]
+    if flag != "--regen" or not set(names) <= set(CASES):
+        sys.exit(
+            "usage: PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]\n"
+            f"cases: {' '.join(sorted(CASES))}"
+        )
+    regen(names or sorted(CASES))

@@ -141,6 +141,19 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"`{key}`: only applies with"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("error_feedback = true\nmomentum = 1", "momentum must be in"),
+            ("sparsifier = topk\nwarmup = 0.5,2", "warmup fractions must be in"),
+            ("clients = 2\nsizes = 3,0", "`sizes`: every size must be >= 1"),
+            ("scheme = cs-over-the-air", "`measurements`: required for cs-over-the-air"),
+        ],
+    )
+    def test_invalid_setting_names_its_key(self, text, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(text)
+
     def test_antennas_apply_to_channel_aware_selection(self):
         sc = parse_scenario("selection = channel\nantennas = 4")
         assert sc.round_cfg.n_antennas == 4
@@ -321,6 +334,15 @@ class TestRunCommand:
         assert (out / "events.csv").read_text().splitlines() == ["round,kind,detail"]
         assert not (out / "summary.txt").exists()
 
+    def test_zero_step_size_never_moves_the_model(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text(BASE.replace("mu = 0.1", "mu = 0"))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 0
+        with open(out / "rounds.csv", newline="") as fh:
+            losses = {r["global_loss"] for r in csv.DictReader(fh)}
+        assert len(losses) == 1
+
     def test_period_aware_baseline(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text(BASE.replace("rounds = 6", "rounds = 7") + "period = 3\n")
@@ -476,6 +498,46 @@ class TestCompareCommand:
         assert "`loss_threshold`" in capsys.readouterr().err
         assert not (out / "compare.csv").exists()
 
+    def compare_rows(self, tmp_path, *texts):
+        """compare.csv rows of the given scenario texts, compared in `tmp_path`."""
+        tmp_path.mkdir(exist_ok=True)
+        files = []
+        for i, text in enumerate(texts):
+            files.append(tmp_path / f"s{i}.cfg")
+            files[-1].write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["compare", *map(str, files), "--out", str(out), "--quiet"]) == 0
+        with open(out / "compare.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_rounds_to_threshold_is_the_first_round_at_or_under_it(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text(BASE)
+        out = tmp_path / "run"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 0
+        with open(out / "rounds.csv", newline="") as fh:
+            losses = [r["global_loss"] for r in csv.DictReader(fh)]
+        # the loss falls every round, so the third round's loss is first met there
+        assert all(float(b) < float(a) for a, b in zip(losses, losses[1:]))
+        for threshold, want in ((losses[2], "3"), ("-1", "-1")):
+            text = BASE + f"loss_threshold = {threshold}\n"
+            rows = self.compare_rows(tmp_path / threshold, text, text)
+            assert [r["rounds_to_threshold"] for r in rows] == [want, want]
+
+    def test_codec_column_names_every_codec_stage(self, tmp_path):
+        rows = self.compare_rows(
+            tmp_path,
+            BASE,
+            BASE + "sparsifier = threshold\ntau = 0.01\nquantizer = binary\n",
+            BASE + "sparsifier = topk\nrho = 0.25\nerror_feedback = true\n"
+            "momentum = 0.5\nclip = 2\nwarmup = 0.5,1\nquantizer = four-level\n",
+        )
+        assert [r["codec"] for r in rows] == [
+            "dense|none",
+            "thr0.01|binary",
+            "topk0.25|four-level|ef|m0.5|clip2|warmup",
+        ]
+
     def test_gain_sweep_over_client_count(self, tmp_path):
         # paired baseline/over-the-air runs at several client counts
         for K in (5, 10, 20):
@@ -531,3 +593,20 @@ class TestValidateCommand:
 
     def test_usage_error_exits_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["run", "x.cfg", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ],
+        ids=["bad-seed", "unknown-command"],
+    )
+    def test_usage_error_names_the_problem(self, args, named, capsys):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: airfed") and named in err
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: airfed")
