@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,8 @@ SCHEMES = (IDEAL_DIGITAL, OVER_THE_AIR, CS_OVER_THE_AIR)
 
 GAIN_EPS = 1e-9
 OMP_TOL = 1e-8  # residual norm at which matching pursuit stops
+# what the Gram domain resolves of a squared norm, relative to its scale
+GRAM_FLOOR = 64 * np.finfo(np.float64).eps
 
 
 @dataclass
@@ -153,13 +156,13 @@ def _hartley(x: np.ndarray) -> np.ndarray:
 class HartleyProjection:
     """Structurally random projection A = S H D (Do, Gan, Nguyen & Tran,
     arXiv 1106.5037): D flips the signs of the d columns, H is the real
-    Hartley transform and S keeps m distinct rows. A product costs one FFT.
+    Hartley transform and S keeps m distinct rows. A product costs one FFT,
+    and so does the whole Gram matrix A^T A (see `gram_column`).
     Not scaled by 1/sqrt(m): cas entries have unit mean square, as N(0, 1)
     entries do, so column norms stay about sqrt(m)."""
 
     signs: np.ndarray  # (d,) the diagonal of D, each +1 or -1
     rows: np.ndarray  # (m,) the distinct rows of H that S keeps
-    cas: np.ndarray  # (d,) cas(2 pi t / d); H[i, j] = cas[(i * j) % d]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -174,17 +177,28 @@ class HartleyProjection:
         z[self.rows] = r
         return self.signs * _hartley(z)
 
-    def column(self, j: int) -> np.ndarray:
-        return self.signs[j] * self.cas[self.rows * j % self.signs.size]
+    @cached_property  # from rows, on first use: a dataclasses.replace copy makes its own
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Re and Im of F = fft(u), u the rows' indicator, each laid out twice
+        so that every circular shift of them is a slice."""
+        u = np.zeros(self.signs.size)
+        u[self.rows] = 1.0
+        f = np.fft.fft(u)
+        return np.tile(f.real, 2), np.tile(f.imag, 2)
+
+    def gram_column(self, j: int) -> np.ndarray:
+        """A^T a_j. cas(a) cas(b) = cos(a - b) + sin(a + b), so summed over
+        the rows, G[i, j] = s_i s_j (Re F[(i - j) mod d] - Im F[(i + j) mod d])."""
+        d = self.signs.size
+        re, im = self._spectrum
+        return self.signs[j] * self.signs * (re[d - j : 2 * d - j] - im[j : j + d])
 
     def column_norms(self) -> np.ndarray:
-        """Exact norms: cas^2 = 1 + sin(2 theta), so with u the rows' indicator
-        ||a_j||^2 = m - Im(fft(u))[2j mod d]. A nonzero term is at least
-        2 sin^2(pi/4d); a sum below half that is rounding on zeros of cas."""
+        """Exact norms: G's diagonal is ||a_j||^2 = m - Im F[2j mod d]. A
+        nonzero term is at least 2 sin^2(pi/4d); a sum below half that is
+        rounding on zeros of cas."""
         m, d = self.shape
-        u = np.zeros(d)
-        u[self.rows] = 1.0
-        sq = m - np.fft.fft(u).imag[2 * np.arange(d) % d]
+        sq = m - self._spectrum[1][2 * np.arange(d) % d]
         sq[sq < math.sin(math.pi / (4 * d)) ** 2] = 0.0
         return np.sqrt(sq)
 
@@ -193,9 +207,7 @@ def measurement_matrix(d: int, m_cs: int, seed: int) -> HartleyProjection:
     """Shared projection A = S H D, identical at all clients; drawn per round."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     signs = 1.0 - 2.0 * rng.integers(0, 2, d)
-    rows = rng.choice(d, size=m_cs, replace=False)
-    theta = (2 * np.pi / d) * np.arange(d)
-    return HartleyProjection(signs, rows, np.cos(theta) + np.sin(theta))
+    return HartleyProjection(signs, rng.choice(d, size=m_cs, replace=False))
 
 
 def omp_recover(
@@ -204,54 +216,69 @@ def omp_recover(
     """Orthogonal matching pursuit: greedy support growth, stopping at the
     sparsity budget or when the residual drops below OMP_TOL.
 
-    A is a matrix or a `HartleyProjection`: the loop reads only A^T r, columns
-    and column norms. Each step extends a thin QR factorisation of the
-    selected columns (one Gram-Schmidt pass plus one re-orthogonalisation)
-    and projects the new direction out of the residual, so the least-squares
-    fit is never redone; the triangular system is solved once, at the end. A
-    column whose orthogonalised norm is <= 1e-12 of its own lies in the span
-    already chosen: the fit cannot improve, so the search stops there.
+    Runs in the Gram domain, as Batch-OMP does (Rubinstein, Zibulevsky &
+    Elad, Technion CS-2008-08): with q_i the orthonormalised chosen columns,
+    it keeps the rows A^T q_i, the correlations c = A^T r and ||r||^2 =
+    ||y||^2 - sum (q_i^T y)^2, and extends them by one Gram column A^T a_j
+    per step; R x = Q^T y is solved once, at the end. So a call transforms y
+    once, and a `HartleyProjection` its rows' indicator once, whatever the
+    budget; the residual guard below adds at most one product A x.
+
+    A difference of squared norms keeps rounding of a few eps of the larger
+    term, so below GRAM_FLOOR = 64 eps of it (a norm below ~sqrt(eps) of
+    its scale) it is noise. Hence two guards: when ||r||^2 falls to
+    GRAM_FLOOR ||y||^2, the OMP_TOL stop reads y - A x, formed once; and a
+    column whose part orthogonal to the q_i has squared norm <= GRAM_FLOOR
+    ||a_j||^2 lies in their span, where the fit cannot improve, so the search
+    stops there (a zero column always does).
     """
     m, d = A.shape
+    y = np.asarray(y, dtype=np.float64)
     if isinstance(A, np.ndarray):
-        correlate, column = lambda r: A.T @ r, lambda j: A[:, j]
+        gram_column, c = lambda j: A.T @ A[:, j], A.T @ y
         norms = np.linalg.norm(A, axis=0)
     else:
-        correlate, column, norms = A.rmatvec, A.column, A.column_norms()
+        gram_column, c, norms = A.gram_column, A.rmatvec(y), A.column_norms()
+    sq_norms = norms**2
     norms[norms == 0] = 1.0
     budget = min(sparsity, m, d)
-    Q = np.empty((budget, m))  # row i: the i-th orthonormal direction
+    P = np.empty((budget, d))  # row i: A^T q_i
     R = np.zeros((budget, budget))
+    beta = np.empty(budget)  # entry i: q_i^T y
     support: list[int] = []
     taken = np.zeros(d, dtype=bool)
-    residual = y.astype(np.float64)
+
+    def fit() -> np.ndarray:
+        x = np.zeros(d)
+        s = len(support)
+        x[support] = np.linalg.solve(R[:s, :s], beta[:s])
+        return x
+
+    res_sq = float(y @ y)
+    floor = GRAM_FLOOR * res_sq
     for k in range(budget):
-        if math.sqrt(residual @ residual) < OMP_TOL:
+        if res_sq <= floor:
+            residual = y - A @ fit()
+            res_sq, floor = float(residual @ residual), -1.0
+        if res_sq < OMP_TOL**2:
             break
-        scores = np.abs(correlate(residual)) / norms
+        scores = np.abs(c) / norms
         scores[taken] = -1.0
         j = int(np.argmax(scores))
-        a_j = column(j)
-        Qk = Q[:k]
-        r = Qk @ a_j
-        q = a_j - r @ Qk
-        again = Qk @ q
-        q -= again @ Qk
-        r += again
-        r_kk = math.sqrt(q @ q)
-        if r_kk <= 1e-12 * norms[j]:
+        r = P[:k, j]
+        r_kk_sq = sq_norms[j] - r @ r
+        if r_kk_sq <= GRAM_FLOOR * sq_norms[j]:
             break
-        Q[k] = q / r_kk
+        r_kk = math.sqrt(r_kk_sq)
+        P[k] = (gram_column(j) - r @ P[:k]) / r_kk
         R[:k, k] = r
         R[k, k] = r_kk
+        beta[k] = c[j] / r_kk
+        c -= beta[k] * P[k]
+        res_sq -= beta[k] ** 2
         taken[j] = True
         support.append(j)
-        residual -= (Q[k] @ residual) * Q[k]
-    x = np.zeros(d)
-    s = len(support)
-    if s:
-        x[support] = np.linalg.solve(R[:s, :s], Q[:s] @ y)
-    return x
+    return fit()
 
 
 def weighted_mean(vectors: list[np.ndarray] | np.ndarray, sizes: list[int]) -> np.ndarray:

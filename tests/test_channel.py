@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from airfed import channel as ch
@@ -397,10 +397,26 @@ class TestHartleyProjection:
         scale = np.max(np.abs(A.T @ r))
         np.testing.assert_allclose(op.rmatvec(r), A.T @ r, rtol=0, atol=1e-12 * scale)
         for j in range(d):
-            np.testing.assert_allclose(op.column(j), A[:, j], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.gram_column(j), A.T @ A[:, j], rtol=0, atol=1e-12 * m)
         np.testing.assert_allclose(
             op.column_norms(), np.linalg.norm(A, axis=0), rtol=0, atol=1e-12 * math.sqrt(m)
         )
+
+    @given(projections(), st.integers(0, 2**32 - 1))
+    @example(dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7])), 0)
+    @settings(max_examples=100, deadline=None)
+    def test_gram_columns_follow_the_rows(self, op, seed):
+        # a copy with other rows must build its own spectrum, not reuse the
+        # one the first operator cached; d = 8 puts exact zeros in the Gram
+        d = op.shape[1]
+        rng = np.random.default_rng(seed)
+        other = rng.choice(d, size=rng.integers(1, d), replace=False)
+        for current in (op, dataclasses.replace(op, rows=other)):
+            A = dense_form(current)
+            for j in range(d):
+                np.testing.assert_allclose(
+                    current.gram_column(j), A.T @ A[:, j], rtol=0, atol=1e-12 * current.shape[0]
+                )
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -414,7 +430,7 @@ class TestHartleyProjection:
         assert np.all((0 <= op.rows) & (op.rows < d))
         assert np.all(np.abs(op.signs) == 1.0)
         again = ch.measurement_matrix(d, m, seed)
-        for field in ("signs", "rows", "cas"):
+        for field in ("signs", "rows"):
             np.testing.assert_array_equal(getattr(op, field), getattr(again, field))
 
     @pytest.mark.parametrize("d", [7, 8, 64, 1000])
@@ -428,8 +444,8 @@ class TestHartleyProjection:
         op = dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7]))
         norms = op.column_norms()
         np.testing.assert_array_equal(np.flatnonzero(norms == 0), [1, 5])
-        for j in (1, 5):
-            np.testing.assert_allclose(op.column(j), 0.0, rtol=0, atol=1e-15)
+        diagonal = [op.gram_column(j)[j] for j in (1, 5)]
+        np.testing.assert_allclose(diagonal, 0.0, rtol=0, atol=1e-15)
 
 
 class TestTransmitRoundCsOverTheAir:
@@ -654,6 +670,85 @@ class TestOmp:
             # only a rank-deficient A lets the oracle pad its support with
             # columns that do not improve the fit
             assert_same_support(got, want, 1e-9 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("hartley", [False, True])
+    def test_noiseless_one_sparse_stops_at_the_true_support(self, hartley):
+        # ||y||^2 - beta^2 keeps a rounding-size remainder above OMP_TOL^2, so
+        # only the residual formed at the rounding floor stops the search
+        m, d = 21, 41
+        rng = np.random.default_rng(133)
+        if hartley:
+            A, j, value = ch.measurement_matrix(d, m, 1), 19, 1.7
+        else:
+            A = rng.standard_normal((m, d))
+            j, value = int(rng.choice(d, size=1, replace=False)[0]), rng.standard_normal()
+        x = np.zeros(d)
+        x[j] = value
+        got = ch.omp_recover(A, A @ x, m)
+        np.testing.assert_array_equal(np.flatnonzero(got), [j])
+        assert got[j] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case, y",
+        [
+            ("parallel", [1.3]),
+            ("zero-columns", [0.3, -1.1]),
+            ("zero-columns", [1.0, 1.0]),
+            ("span-at-rounding", None),
+        ],
+    )
+    def test_degenerate_hartley_operators(self, case, y):
+        # m = 1: every column is parallel. d = 8 with rows {3, 7}: columns 1
+        # and 5 are zero and the rest lie along two directions. The budget
+        # ends those searches at m picks. At ||y|| = 1e8 rounding leaves a
+        # residual above OMP_TOL, so the search reaches columns in the span
+        # already chosen, and only the in-span stop ends it.
+        if case == "parallel":
+            op = ch.measurement_matrix(8, 1, 0)
+        elif case == "zero-columns":
+            op = dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7]))
+        else:
+            op = ch.measurement_matrix(8, 3, 1)
+            y = 1e8 * (op @ np.eye(8)[0])
+        A, y = dense_form(op), np.asarray(y, dtype=np.float64)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = ch.omp_recover(op, y, 8)
+        want = omp_oracle(A, y, 8)
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(y - A @ got) == pytest.approx(
+            np.linalg.norm(y - A @ want), rel=0, abs=1e-14 * max(1.0, np.linalg.norm(y))
+        )
+        assert np.all(got[~A.any(axis=0)] == 0.0)
+
+    def test_one_transform_per_call_whatever_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        fft, calls = np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft", lambda x: calls.append(x) or fft(x))
+        counts = []
+        for sparsity in (5, 57):
+            op = ch.measurement_matrix(1000, 200, 5)
+            y = rng.standard_normal(200)
+            calls.clear()
+            assert np.count_nonzero(ch.omp_recover(op, y, sparsity)) == sparsity
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_matches_the_oracle_at_the_workload_shape(self):
+        # cs-recovery: d = 1000, m = 200 and a budget of about 57 flat entries
+        d, m, budget = 1000, 200, 57
+        rng = np.random.default_rng(2)
+        op = ch.measurement_matrix(d, m, 2)
+        A = dense_form(op)
+        x = np.zeros(d)
+        x[rng.choice(d, budget, replace=False)] = 1.0 - 2.0 * rng.integers(0, 2, budget)
+        y = op @ x + 0.01 * rng.standard_normal(m)
+        assert not near_tie(A, y, budget)
+        got = ch.omp_recover(op, y, budget)
+        want = omp_oracle(A, y, budget)
+        atol = 1e-9 * np.max(np.abs(want))
+        assert_same_support(got, want, atol)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 class TestMetamorphic:
