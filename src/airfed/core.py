@@ -85,28 +85,28 @@ class RoundRecord:
 
 
 def select_participants(
-    client_ids: list[int],
+    n_clients: int,
     fraction: float,
     rng_factory: Callable[[], np.random.Generator] | None,
     channel: ch_mod.ChannelRealization | None = None,
     mode: str = SELECT_RANDOM,
 ) -> list[int]:
-    """Choose max(1, ceil(fraction*K)) clients, in ascending id order;
-    channel-aware mode ranks by descending channel norm with ties to the
-    lower id, so `client_ids` must ascend. Random mode builds its generator
-    from `rng_factory` only when it leaves a client out, so full
+    """Choose max(1, ceil(fraction*K)) of the clients 0..K-1, in ascending
+    order; channel-aware mode ranks client k by the norm of row k of the
+    channel, descending, with ties to the lower id. Random mode builds its
+    generator from `rng_factory` only when it leaves a client out, so full
     participation may pass None."""
     if not (0 < fraction <= 1):
         raise ConfigurationError("fraction must be in (0, 1]")
     if mode == SELECT_CHANNEL:
         if channel is None:
             raise ConfigurationError("channel-aware selection needs a realization")
-        norms = np.linalg.norm(channel.gains[client_ids], axis=1)
-        return [client_ids[i] for i in comp_mod.topk_indices(norms, fraction)]
-    k = max(1, math.ceil(fraction * len(client_ids)))
-    if k >= len(client_ids):
-        return sorted(client_ids)
-    chosen = rng_factory().choice(np.array(client_ids), size=k, replace=False)
+        norms = np.linalg.norm(channel.gains[:n_clients], axis=1)
+        return comp_mod.topk_indices(norms, fraction).tolist()
+    k = max(1, math.ceil(fraction * n_clients))
+    if k >= n_clients:
+        return list(range(n_clients))
+    chosen = rng_factory().choice(n_clients, size=k, replace=False)
     return sorted(int(c) for c in chosen)
 
 
@@ -199,8 +199,7 @@ def run_round(
     the round's channel. `population` is the union of the clients' data,
     over which the global loss is evaluated. After an uplink every client
     shares the server's new parameters, which are read-only."""
-    client_ids = [c.id for c in clients]
-    if client_ids != list(range(len(clients))):
+    if [c.id for c in clients] != list(range(len(clients))):
         raise ConfigurationError("client k must have id k")
     sizes = [c.dataset.size for c in clients]
     if population.size != sum(sizes):
@@ -226,7 +225,7 @@ def run_round(
         )
 
     participants = select_participants(
-        client_ids,
+        len(clients),
         cfg.participation,
         lambda: streams.participation(t),
         channel=realization,

@@ -78,7 +78,7 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         if self.kind == MLP:
-            # layout: W1 (hidden, p), b1 (hidden), w2 (hidden), b2 (1)
+            # the sizes of W1, b1, w2 and b2 in _unpack_mlp
             return self.hidden * self.n_features + 2 * self.hidden + 1
         return self.n_features
 
@@ -125,17 +125,10 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 
 def _unpack_mlp(spec: ModelSpec, w: np.ndarray):
-    p = spec.n_features
-    h = spec.hidden
-    o = 0
-    W1 = w[o : o + h * p].reshape(h, p)
-    o += h * p
-    b1 = w[o : o + h]
-    o += h
-    w2 = w[o : o + h]
-    o += h
-    b2 = w[o]
-    return W1, b1, w2, b2
+    """Views of w: W1 (hidden, p), b1 (hidden), w2 (hidden), b2 (1,)."""
+    h, p = spec.hidden, spec.n_features
+    W1, b1, w2, b2 = np.split(w, np.cumsum([h * p, h, h]))
+    return W1.reshape(h, p), b1, w2, b2
 
 
 def initial_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -152,12 +145,9 @@ def initial_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
-def _mlp_forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    W1, b1, w2, b2 = _unpack_mlp(spec, w)
-    Z = X @ W1.T + b1  # (n, h)
-    A = np.tanh(Z)
-    yhat = A @ w2 + b2
-    return yhat, A
+def _mlp_forward(W1, b1, w2, b2, X: np.ndarray):
+    A = np.tanh(X @ W1.T + b1)  # (n, h)
+    return A @ w2 + b2, A
 
 
 def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
@@ -166,14 +156,11 @@ def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
     size-weighted mean of the F_k, the global loss."""
     spec.check_dims(w, data)
     X, y = data.features, data.labels
-    if spec.kind == LINEAR:
-        r = X @ w - y
-        base = 0.5 * float(np.mean(r * r))
-    elif spec.kind == LOGISTIC:
+    if spec.kind == LOGISTIC:
         z = X @ w
         base = float(np.mean(_log1pexp(z) - y * z))
     else:
-        yhat, _ = _mlp_forward(spec, w, X)
+        yhat = X @ w if spec.kind == LINEAR else _mlp_forward(*_unpack_mlp(spec, w), X)[0]
         r = yhat - y
         base = 0.5 * float(np.mean(r * r))
     return base + 0.5 * spec.l2 * float(w @ w)
@@ -188,20 +175,20 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:
 def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The gradient over rows X, y, whose dimensions the caller has checked."""
     n = X.shape[0]
-    if spec.kind == LINEAR:
-        g = X.T @ (X @ w - y) / n
-    elif spec.kind == LOGISTIC:
-        g = X.T @ (_sigmoid(X @ w) - y) / n
-    else:
+    if spec.kind == MLP:
         W1, b1, w2, b2 = _unpack_mlp(spec, w)
-        yhat, A = _mlp_forward(spec, w, X)
+        yhat, A = _mlp_forward(W1, b1, w2, b2, X)
         r = (yhat - y) / n  # (n,)
-        g_w2 = A.T @ r
-        g_b2 = float(np.sum(r))
         dZ = np.outer(r, w2) * (1.0 - A * A)  # (n, h)
-        g_W1 = dZ.T @ X
-        g_b1 = dZ.sum(axis=0)
-        g = np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
+        g = np.empty_like(w)
+        g_W1, g_b1, g_w2, g_b2 = _unpack_mlp(spec, g)  # views into g
+        g_W1[...] = dZ.T @ X
+        g_b1[...] = dZ.sum(axis=0)
+        g_w2[...] = A.T @ r
+        g_b2[...] = r.sum()
+    else:
+        z = X @ w  # the link is z for linear, sigmoid(z) for logistic
+        g = X.T @ ((_sigmoid(z) if spec.kind == LOGISTIC else z) - y) / n
     return g + spec.l2 * w if spec.l2 > 0 else g
 
 
@@ -215,26 +202,22 @@ def sgd_local_update(
     """Run `local_steps` mini-batch SGD steps starting from w_start.
 
     Batches are drawn without replacement per epoch, reshuffled per epoch
-    from the supplied generator, so the trajectory is reproducible.
+    from the supplied generator, so the trajectory is reproducible. A full
+    batch draws nothing and steps on views of every row.
     """
     w = np.array(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
     X, y = data.features, data.labels
     n = data.size
-    if cfg.batch_size == "full":
-        for _ in range(cfg.local_steps):
-            w -= cfg.step_size * _gradient(spec, w, X, y)
-        return w
-    b = min(cfg.batch_size, n)
-    order = rng.permutation(n)
-    pos = 0
+    rows, pos = slice(None), n  # pos = n: the first mini-batch step draws an order
     for _ in range(cfg.local_steps):
-        if pos >= n:
-            order = rng.permutation(n)
-            pos = 0
-        idx = order[pos : pos + b]
-        pos += b
-        w -= cfg.step_size * _gradient(spec, w, X[idx], y[idx])
+        if cfg.batch_size != "full":
+            if pos >= n:
+                order, pos = rng.permutation(n), 0
+            rows, pos = order[pos : pos + cfg.batch_size], pos + cfg.batch_size
+        # gathered in the call, so a batch's copy is freed before the next
+        # gather: holding it across a step doubled the step time at d = 2000
+        w -= cfg.step_size * _gradient(spec, w, X[rows], y[rows])
     return w
 
 

@@ -145,6 +145,9 @@ _ANALOG = (ch_mod.OVER_THE_AIR, ch_mod.CS_OVER_THE_AIR)
 # keys that mean something only where a test on the converted values holds
 _RELEVANT_ONLY_WITH = {
     "hidden": _when("model", models.MLP),
+    # logistic labels are Bernoulli draws, which read no noise
+    "label_noise": _when("model", models.LINEAR, models.MLP),
+    "client_size": ("no sizes list", lambda v: v["sizes"] is None),
     "tau": _when("sparsifier", comp_mod.SPARSIFIER_THRESHOLD),
     "measurements": _when("scheme", ch_mod.CS_OVER_THE_AIR),
     "rho": _when("sparsifier", comp_mod.SPARSIFIER_TOPK),

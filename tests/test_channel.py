@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -799,3 +800,76 @@ class TestMetamorphic:
         digital = ch.transmit_round(entries, DIGITAL)
         np.testing.assert_allclose(ota.aggregated, digital.aggregated, rtol=0, atol=1e-8)
         assert ota.aggregation_error == pytest.approx(digital.aggregation_error, abs=1e-8)
+
+
+ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: ch.ChannelRealization(np.ones(3), 0.0),
+            ConfigurationError,
+            "(K, N) matrix",
+            id="gains-1d",
+        ),
+        pytest.param(
+            lambda: ch.ChannelRealization(np.full((2, 1), np.nan), 0.0),
+            ConfigurationError,
+            "channel gains must be finite",
+            id="gains-nan",
+        ),
+        pytest.param(
+            lambda: ch.ChannelRealization(np.ones((2, 1)), -1.0),
+            ConfigurationError,
+            "noise_std must be >= 0",
+            id="noise",
+        ),
+        pytest.param(
+            lambda: ch.TransportScheme("carrier-pigeon"),
+            ConfigurationError,
+            "unknown transport",
+            id="scheme",
+        ),
+        pytest.param(
+            lambda: ch.TransportScheme(ch.CS_OVER_THE_AIR),
+            ConfigurationError,
+            "cs-over-the-air requires measurements >= 1",
+            id="cs-no-measurements",
+        ),
+        pytest.param(
+            lambda: ch.sample_channel(0, 2, 0.0, seed=1),
+            ConfigurationError,
+            "n_clients and n_antennas",
+            id="no-clients",
+        ),
+        pytest.param(
+            lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 1.0}, 0.0),
+            ConfigurationError,
+            "power cap must be > 0",
+            id="cap",
+        ),
+        pytest.param(
+            lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 0.5}, 1.0),
+            ConfigurationError,
+            "targets must sum to 1",
+            id="targets-sum",
+        ),
+        pytest.param(
+            lambda: ch.transmit_round([], DIGITAL),
+            SchemeError,
+            "no payloads to transmit",
+            id="no-entries",
+        ),
+        pytest.param(
+            lambda: ch.transmit_round(make_entries([np.ones(2)], [1]), OTA, ONE_CLIENT),
+            ConfigurationError,
+            "analog schemes require a channel and a plan",
+            id="analog-no-plan",
+        ),
+    ],
+)
+def test_invalid_input_raises_its_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,3 +366,55 @@ class TestCompressionRatio:
             assert ratio >= prev
             prev = ratio
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: C.CodecSpec(sparsifier="random"),
+            "unknown sparsifier 'random'",
+            id="sparsifier",
+        ),
+        pytest.param(
+            lambda: C.CodecSpec(quantizer="eight-level"),
+            "unknown quantizer",
+            id="quantizer",
+        ),
+        pytest.param(
+            lambda: C.CodecSpec(C.SPARSIFIER_THRESHOLD, threshold=-1.0),
+            "threshold must be >= 0",
+            id="threshold",
+        ),
+        pytest.param(
+            lambda: C.CodecSpec(C.SPARSIFIER_TOPK, keep_fraction=0.0),
+            "keep_fraction must be in",
+            id="keep-fraction",
+        ),
+        pytest.param(lambda: C.CodecSpec(clip_norm=0.0), "clip_norm must be > 0", id="clip"),
+        pytest.param(
+            lambda: C.topk_indices(np.ones(4), 1.5),
+            "keep fraction must be in (0, 1]",
+            id="topk-rho",
+        ),
+        pytest.param(
+            lambda: C.quantize(np.array([]), C.QUANTIZER_BINARY),
+            "nonempty values",
+            id="quantize-empty",
+        ),
+        pytest.param(
+            lambda: C.encode(np.ones(4), C.CodecSpec(error_feedback=True)),
+            "error feedback requires encoder state",
+            id="ef-no-state",
+        ),
+        pytest.param(
+            lambda: C.encode(
+                np.ones(4), C.CodecSpec(error_feedback=True), C.EncoderState.zeros(3)
+            ),
+            "encoder state length must match",
+            id="ef-state-length",
+        ),
+    ],
+)
+def test_invalid_input_raises_its_message(call, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,15 +175,14 @@ class TestAggregateGradients:
 
 class TestSelectParticipants:
     def test_fraction_one_selects_all(self):
-        ids = list(range(7))
-        out = core.select_participants(ids, 1.0, lambda: np.random.default_rng(0))
-        assert out == ids
+        out = core.select_participants(7, 1.0, lambda: np.random.default_rng(0))
+        assert out == list(range(7))
 
     def test_channel_aware_ranking(self):
         gains = np.array([[0.1], [5.0], [2.0]])
         realization = ch.ChannelRealization(gains, 0.0)
         out = core.select_participants(
-            [0, 1, 2], 2 / 3, None, channel=realization, mode=core.SELECT_CHANNEL
+            3, 2 / 3, None, channel=realization, mode=core.SELECT_CHANNEL
         )
         assert out == [1, 2]
 
@@ -209,14 +209,13 @@ class TestSelectParticipants:
                 key=lambda cid: (-float(np.linalg.norm(realization.gains[cid])), cid),
             )
             got = core.select_participants(
-                ids, fraction, None, channel=realization, mode=core.SELECT_CHANNEL
+                len(ids), fraction, None, channel=realization, mode=core.SELECT_CHANNEL
             )
             assert got == sorted(ranked[:count])
 
     def test_same_seed_same_subset(self):
-        ids = list(range(10))
-        a = core.select_participants(ids, 0.3, lambda: np.random.default_rng(5))
-        b = core.select_participants(ids, 0.3, lambda: np.random.default_rng(5))
+        a = core.select_participants(10, 0.3, lambda: np.random.default_rng(5))
+        b = core.select_participants(10, 0.3, lambda: np.random.default_rng(5))
         assert a == b
 
 
@@ -663,3 +662,33 @@ class TestRoundConfigValidation:
     def test_channel_and_delay_fields_checked(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
             core.RoundConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: core.RoundConfig(participation=0.0),
+            "participation must be in",
+            id="participation",
+        ),
+        pytest.param(
+            lambda: core.RoundConfig(selection="oldest"),
+            "unknown selection mode",
+            id="selection",
+        ),
+        pytest.param(
+            lambda: core.select_participants(4, 1.5, None),
+            "fraction must be in (0, 1]",
+            id="fraction",
+        ),
+        pytest.param(
+            lambda: core.select_participants(4, 0.5, None, mode=core.SELECT_CHANNEL),
+            "channel-aware selection needs a realization",
+            id="channel-missing",
+        ),
+    ],
+)
+def test_invalid_input_raises_its_message(call, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call()

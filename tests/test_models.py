@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,67 @@ class TestMakeSynthetic:
             models.PartitionSpec([], 3)
         with pytest.raises(ConfigurationError):
             models.PartitionSpec([5, 0], 3)
+
+
+ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: models.Dataset(np.ones(3), np.ones(3)),
+            "features must be a 2-D",
+            id="features-1d",
+        ),
+        pytest.param(
+            lambda: models.Dataset(np.ones((3, 2)), np.ones(2)),
+            "labels must align",
+            id="labels-short",
+        ),
+        pytest.param(lambda: models.ModelSpec("tree", 2), "unknown model kind 'tree'", id="kind"),
+        pytest.param(
+            lambda: models.ModelSpec(models.LINEAR, 2, l2=-1.0),
+            "l2 must be >= 0",
+            id="l2",
+        ),
+        pytest.param(
+            lambda: models.ModelSpec(models.MLP, 2),
+            "mlp requires hidden width",
+            id="hidden",
+        ),
+        pytest.param(
+            lambda: models.gradient(models.ModelSpec(models.LINEAR, 2), np.zeros(3), ONE_ROW),
+            "parameter vector has length (3,), expected (2,)",
+            id="w-length",
+        ),
+        pytest.param(
+            lambda: models.TrainConfig(math.nan),
+            "step_size must be finite",
+            id="step-nan",
+        ),
+        pytest.param(
+            lambda: models.TrainConfig(0.1, local_steps=0),
+            "local_steps must be >= 1",
+            id="steps",
+        ),
+        pytest.param(
+            lambda: models.TrainConfig(0.1, batch_size=0),
+            "batch_size must be 'full'",
+            id="batch",
+        ),
+        pytest.param(
+            lambda: models.PartitionSpec([3], 0),
+            "n_features must be >= 1",
+            id="partition-features",
+        ),
+        pytest.param(
+            lambda: models.PartitionSpec([3], 2, label_kind="ordinal"),
+            "label_kind must be",
+            id="label-kind",
+        ),
+    ],
+)
+def test_invalid_input_raises_its_message(call, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call()

@@ -127,6 +127,8 @@ class TestParseScenario:
             ("sparsifier = topk\ntau = 0.5", "tau"),
             ("scheme = over-the-air\npayload = gradients\nmeasurements = 4", "measurements"),
             ("model = logistic\nhidden = 4", "hidden"),
+            ("label_noise = 5", "label_noise"),
+            ("clients = 2\nclient_size = 7\nsizes = 3,4", "client_size"),
             ("rho = 0.5", "rho"),
             ("sparsifier = threshold\nwarmup = 0.5", "warmup"),
             ("error_feedback = off\nmomentum = 0.9", "momentum"),
