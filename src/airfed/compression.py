@@ -88,11 +88,14 @@ class CodecSpec:
 
     @property
     def codec_id(self) -> str:
+        """The codec's stages, named by the values that run: a top-k codec
+        with a warm-up names its fractions, not the unused keep_fraction."""
         parts = []
         if self.sparsifier == SPARSIFIER_THRESHOLD:
             parts.append(f"thr{self.threshold:g}")
         elif self.sparsifier == SPARSIFIER_TOPK:
-            parts.append(f"topk{self.keep_fraction:g}")
+            fractions = self.warmup or (self.keep_fraction,)
+            parts.append("topk" + ",".join(f"{r:g}" for r in fractions))
         else:
             parts.append("dense")
         parts.append(self.quantizer)
@@ -102,8 +105,6 @@ class CodecSpec:
             parts.append(f"m{self.momentum:g}")
         if self.clip_norm is not None:
             parts.append(f"clip{self.clip_norm:g}")
-        if self.warmup:
-            parts.append("warmup")
         return "|".join(parts)
 
 

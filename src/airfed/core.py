@@ -71,7 +71,9 @@ class RoundConfig:
 
 @dataclass
 class RoundRecord:
-    """Outcome of one round; a round without an uplink keeps the zero defaults."""
+    """Outcome of one round; a round without an uplink keeps the zero
+    defaults. `run_round` leaves `global_loss` at nan: `run_training`
+    evaluates it for a block of rounds at once and fills it in place."""
 
     round_index: int
     scheme: str  # transport the uplink used; the configured one if nothing was sent
@@ -160,24 +162,19 @@ def format_ids(client_ids) -> str:
     return ";".join(str(cid) for cid in sorted(client_ids))
 
 
-def _finish(
-    rec: RoundRecord,
-    server: ServerState,
-    population: models.Dataset,
-    model_spec: models.ModelSpec,
-) -> RoundRecord:
-    """Close the round: advance the server clock and evaluate the global loss
-    once over the pooled population. A non-finite model or loss means
-    training diverged: stop the run."""
+def _diverged(round_index: int) -> ProtocolError:
+    return ProtocolError(
+        f"training diverged in round {round_index}: "
+        "non-finite server parameters or global loss"
+    )
+
+
+def _finish(rec: RoundRecord, server: ServerState) -> RoundRecord:
+    """Close the round: advance the server clock. Non-finite parameters
+    mean training diverged: stop the run."""
     server.round_index = rec.round_index
-    # an overflow here is caught by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec.global_loss = models.global_loss(model_spec, server.params, population)
-    if not (np.all(np.isfinite(server.params)) and math.isfinite(rec.global_loss)):
-        raise ProtocolError(
-            f"training diverged in round {rec.round_index}: "
-            "non-finite server parameters or global loss"
-        )
+    if not np.all(np.isfinite(server.params)):
+        raise _diverged(rec.round_index)
     return rec
 
 
@@ -196,9 +193,11 @@ def run_round(
     over-the-air plan come first, and a client the plan excludes neither
     trains nor encodes. `cfg` holds the round's channel and delay settings,
     and each client its own stream. Client k is `clients[k]` and row k of
-    the round's channel. `population` is the union of the clients' data,
-    over which the global loss is evaluated. After an uplink every client
-    shares the server's new parameters, which are read-only."""
+    the round's channel. `population` is the union of the clients' data.
+    After an uplink every client shares the server's new parameters, which
+    are read-only. The round does not evaluate the global loss: a caller
+    other than `run_training` gets `global_loss = nan` and evaluates
+    `models.global_loss` over `population` itself."""
     if [c.id for c in clients] != list(range(len(clients))):
         raise ConfigurationError("client k must have id k")
     sizes = [c.dataset.size for c in clients]
@@ -215,7 +214,7 @@ def run_round(
             c.local_params = models.sgd_local_update(
                 model_spec, c.local_params, c.dataset, train_cfg, c.rng
             )
-        return _finish(rec, server, population, model_spec)
+        return _finish(rec, server)
 
     need_channel = cfg.scheme.analog or cfg.selection == SELECT_CHANNEL
     realization = None
@@ -285,7 +284,7 @@ def run_round(
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, sizes[cid]))
     if not survivors:
         rec.events.append(("protocol-error", "all clients missed the deadline"))
-        return _finish(rec, server, population, model_spec)
+        return _finish(rec, server)
 
     noisy = scheme.analog and cfg.noise_std > 0
     result = ch_mod.transmit_round(
@@ -306,18 +305,30 @@ def run_round(
     rec.uplink_uses = result.channel_uses
     rec.uplink_bits = result.bits_equivalent
     rec.downlink_bits = server.params.size * comp_mod.FLOAT_BITS
-    return _finish(rec, server, population, model_spec)
+    return _finish(rec, server)
+
+
+# bytes of the (population size × block) temporaries of one global-loss block
+LOSS_BLOCK_BYTES = 256 * 1024
 
 
 def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     """Run a full scenario: build data, clients, and server, then execute
-    `scenario.rounds` federated rounds. Deterministic per seed."""
+    `scenario.rounds` federated rounds. Deterministic per seed.
+
+    The global loss of the finished rounds is evaluated in blocks: one
+    `models.global_loss` call per block reads the population once and fills
+    the block's records. A block holds as many rounds as fit
+    LOSS_BLOCK_BYTES of (population size × block) temporaries. A round
+    whose parameters may overflow the loss (they fail the
+    `models.finite_loss_radius` test) is evaluated at once, with the block
+    before it, so a run stops at its first non-finite loss."""
     streams = RngStreams(scenario.seed)
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
-    d = scenario.model_spec.dim
+    spec = scenario.model_spec
     # the server broadcasts its starting parameters: every client shares them
-    server = ServerState(models.initial_params(scenario.model_spec, streams.init()))
+    server = ServerState(models.initial_params(spec, streams.init()))
     server.params.flags.writeable = False
     # streams first: building each one between its client's arrays raised
     # the benchmark's peak RSS on ota-crowd (64 clients) by 3.5 MB
@@ -327,30 +338,66 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
             id=k,
             dataset=ds,
             local_params=server.params,
-            encoder=comp_mod.EncoderState.zeros(d),
+            encoder=comp_mod.EncoderState.zeros(spec.dim),
             rng=rngs[k],
         )
         for k, ds in enumerate(datasets)
     ]
 
+    radius = models.finite_loss_radius(spec, population)
+    width = spec.hidden if spec.kind == models.MLP else 1
+    block = max(1, LOSS_BLOCK_BYTES // (8 * population.size * width))
     records: list[RoundRecord] = []
-    for _ in range(scenario.rounds):
-        try:
+    pending: list[tuple[RoundRecord, np.ndarray]] = []  # rounds whose loss waits
+    try:
+        for _ in range(scenario.rounds):
+            before = server.params
             rec = run_round(
                 server,
                 clients,
                 population,
-                scenario.model_spec,
+                spec,
                 scenario.train_cfg,
                 scenario.round_cfg,
                 streams,
             )
-        except ProtocolError as exc:
-            # the finished rounds are the evidence of a failed run
-            exc.records = records
-            raise
-        records.append(rec)
+            if server.params is before and records and not pending:
+                # the round before holds this array, and its loss is known
+                rec.global_loss = records[-1].global_loss
+            else:
+                pending.append((rec, server.params))
+            if len(pending) == block or not np.linalg.norm(server.params) < radius:
+                _fill_losses(spec, population, pending)
+                if not math.isfinite(rec.global_loss):
+                    raise _diverged(rec.round_index)
+            records.append(rec)
+    except ProtocolError as exc:
+        # the finished rounds, with their losses, are the evidence of a failed run
+        _fill_losses(spec, population, pending)
+        exc.records = records
+        raise
+    _fill_losses(spec, population, pending)
     return records, ledger_of(records)
+
+
+def _fill_losses(
+    spec: models.ModelSpec,
+    population: models.Dataset,
+    pending: list[tuple[RoundRecord, np.ndarray]],
+) -> None:
+    """Set the global loss of the pending (record, parameters) rounds from
+    one `global_loss` call, then empty the list. Rounds that hold one array
+    share its row of the block, so their losses are equal."""
+    if not pending:
+        return
+    arrays = {id(w): w for _, w in pending}
+    # an overflow shows as a non-finite loss, which stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = models.global_loss(spec, np.stack(list(arrays.values())), population)
+    row = dict(zip(arrays, losses.tolist()))
+    for rec, w in pending:
+        rec.global_loss = row[id(w)]
+    pending.clear()
 
 
 def ledger_of(records: list[RoundRecord]) -> BudgetLedger:

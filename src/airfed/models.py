@@ -7,6 +7,7 @@ checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,12 @@ class ModelSpec:
             return self.hidden * self.n_features + 2 * self.hidden + 1
         return self.n_features
 
-    def check_dims(self, w: np.ndarray, data: Dataset) -> None:
-        if w.shape != (self.dim,):
+    def check_dims(self, w: np.ndarray, data: Dataset, block: bool = False) -> None:
+        """w is one parameter vector, or with `block` a (B, dim) block of
+        them, and the data has the model's feature count."""
+        if w.shape[block:] != (self.dim,):
             raise ConfigurationError(
-                f"parameter vector has length {w.shape}, expected ({self.dim},)"
+                f"parameter vector has length {w.shape[block:]}, expected ({self.dim},)"
             )
         if data.n_features != self.n_features:
             raise ConfigurationError(
@@ -119,16 +122,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
-    # stable log(1 + e^z) = max(z, 0) + log(1 + e^-|z|)
-    tail = np.log1p(np.exp(-np.abs(z)))
-    return np.where(z > 0, z + tail, tail)
+    # stable log(1 + e^z) = max(z, 0) + log(1 + e^-|z|), built in one array
+    t = np.abs(z)
+    np.exp(np.negative(t, out=t), out=t)
+    np.log1p(t, out=t)
+    return np.add(t, z, out=t, where=z > 0)
 
 
 def _unpack_mlp(spec: ModelSpec, w: np.ndarray):
-    """Views of w: W1 (hidden, p), b1 (hidden), w2 (hidden), b2 (1,)."""
+    """Views of w: W1 (hidden, p), b1 (hidden), w2 (hidden), b2 (1,); for a
+    (B, dim) block, the same with a leading axis of B."""
     h, p = spec.hidden, spec.n_features
-    W1, b1, w2, b2 = np.split(w, np.cumsum([h * p, h, h]))
-    return W1.reshape(h, p), b1, w2, b2
+    W1, b1, w2, b2 = np.split(w, np.cumsum([h * p, h, h]), axis=-1)
+    return W1.reshape(*w.shape[:-1], h, p), b1, w2, b2
 
 
 def initial_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -150,20 +156,50 @@ def _mlp_forward(W1, b1, w2, b2, X: np.ndarray):
     return A @ w2 + b2, A
 
 
-def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
+def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float | np.ndarray:
     """Loss F(w) over one dataset: mean over samples plus L2 penalty. Over a
     client's rows it is F_k; over the pooled population it is the
-    size-weighted mean of the F_k, the global loss."""
-    spec.check_dims(w, data)
-    X, y = data.features, data.labels
-    if spec.kind == LOGISTIC:
-        z = X @ w
-        base = float(np.mean(_log1pexp(z) - y * z))
+    size-weighted mean of the F_k, the global loss. A 1-D w gives a float.
+    A (B, dim) block of parameter vectors gives B losses from one product
+    X·Wᵀ, which reads the data once for the whole block; equal rows give
+    equal losses, and a row's loss differs from its 1-D value only by the
+    order of the sums."""
+    spec.check_dims(w, data, block=w.ndim == 2)
+    W = np.atleast_2d(w)
+    X, y = data.features, data.labels[:, None]
+    if spec.kind == MLP:
+        W1, b1, w2, b2 = _unpack_mlp(spec, W)  # (B, h, p), (B, h), (B, h), (B, 1)
+        H = (X @ W1.reshape(-1, spec.n_features).T).reshape(len(X), *b1.shape)
+        H += b1
+        Z = np.einsum("nbh,bh->nb", np.tanh(H, out=H), w2) + b2.T
     else:
-        yhat = X @ w if spec.kind == LINEAR else _mlp_forward(*_unpack_mlp(spec, w), X)[0]
-        r = yhat - y
-        base = 0.5 * float(np.mean(r * r))
-    return base + 0.5 * spec.l2 * float(w @ w)
+        Z = X @ W.T  # (n, B)
+    if spec.kind == LOGISTIC:
+        L = _log1pexp(Z)
+        L -= np.multiply(Z, y, out=Z)
+        base = L.mean(axis=0)
+    else:
+        Z -= y
+        base = 0.5 * np.mean(np.square(Z, out=Z), axis=0)
+    losses = base + 0.5 * spec.l2 * np.einsum("bi,bi->b", W, W)
+    return float(losses[0]) if w.ndim == 1 else losses
+
+
+FINITE_BOUND = 1e100  # far from overflow: a loss term stays below 4·FINITE_BOUND²
+
+
+def finite_loss_radius(spec: ModelSpec, data: Dataset) -> float:
+    """A radius r such that global_loss(spec, w, data) is finite whenever
+    ‖w‖ < r, that is ‖w‖·c < FINITE_BOUND with c = R + √dim + max|y| + l2
+    and R the largest row norm. Every model's prediction (z for logistic)
+    is at most ‖w‖·(R + √dim): the MLP's hidden units lie in [-1, 1], so
+    its output is at most √(h+1)·‖w‖. Labels of FINITE_BOUND or more, or
+    data whose norms overflow, give r = 0."""
+    X, y = data.features, data.labels
+    R = math.sqrt(np.max(np.einsum("ij,ij->i", X, X)))
+    ymax = float(np.max(np.abs(y)))
+    c = R + math.sqrt(spec.dim) + ymax + spec.l2
+    return FINITE_BOUND / c if ymax < FINITE_BOUND and c < math.inf else 0.0
 
 
 def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:

@@ -453,6 +453,66 @@ class TestRunTraining:
         assert records[0].global_loss == pytest.approx(
             np.log(2), rel=1e-6
         )  # server still at w = 0
+        assert records[2].global_loss == records[1].global_loss
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 40, 10**6], ids=["1", "3", "all"])
+    def test_block_losses_equal_per_round_losses(self, monkeypatch, block_bytes):
+        # 40 rows, so blocks of 1, 3 and every round; period 3 and deadline
+        # misses make rounds that share the server's array, across blocks too
+        monkeypatch.setattr(core, "LOSS_BLOCK_BYTES", block_bytes)
+        run_round = core.run_round
+        held = []
+
+        def spy(server, *args):
+            rec = run_round(server, *args)
+            held.append(server.params)
+            return rec
+
+        monkeypatch.setattr(core, "run_round", spy)
+        sc = parse_scenario(
+            "seed = 4\nrounds = 14\nperiod = 3\nclients = 4\nclient_size = 10\n"
+            "features = 3\ndelay_mean = 1\ndelay_jitter = 1\ndeadline = 1"
+        )
+        records, _ = core.run_training(sc)
+        population = models.make_synthetic(sc.partition, sc.seed)
+        for rec, w in zip(records, held):
+            want = models.global_loss(sc.model_spec, w, population)
+            assert rec.global_loss == pytest.approx(want, rel=1e-12)
+        shared = [i for i in range(1, len(held)) if held[i] is held[i - 1]]
+        assert len(shared) > 4
+        for i in shared:
+            assert records[i].global_loss == records[i - 1].global_loss
+
+    def test_failed_run_leaves_its_rounds_with_losses(self, monkeypatch):
+        run_round = core.run_round
+
+        def fail_in_round_6(server, *args):
+            if server.round_index == 5:
+                raise ProtocolError("round 6 failed")
+            return run_round(server, *args)
+
+        monkeypatch.setattr(core, "run_round", fail_in_round_6)
+        with pytest.raises(ProtocolError, match="round 6 failed") as info:
+            run_scenario("seed = 2\nrounds = 9\nfeatures = 3\nclients = 2")
+        records = info.value.records
+        assert [r.round_index for r in records] == [1, 2, 3, 4, 5]
+        assert all(math.isfinite(r.global_loss) for r in records)
+
+    def test_a_direct_round_leaves_the_loss_unset(self):
+        spec = models.ModelSpec(models.LINEAR, 2)
+        data = models.Dataset(np.ones((3, 2)), np.zeros(3))
+        streams = core.RngStreams(0)
+        client = core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(0))
+        rec = core.run_round(
+            core.ServerState(np.zeros(2)),
+            [client],
+            data,
+            spec,
+            models.TrainConfig(step_size=0.1),
+            core.RoundConfig(),
+            streams,
+        )
+        assert math.isnan(rec.global_loss)
 
     @pytest.mark.parametrize(
         "text",

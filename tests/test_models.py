@@ -1,9 +1,10 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -99,6 +100,64 @@ class TestGlobalLoss:
             d.size * models.global_loss(spec, w, d) for d in union.split(sizes)
         ) / sum(sizes)
         assert pooled == pytest.approx(per_client, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @given(
+        n=st.integers(1, 40),
+        rows=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        l2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_equal_one_vector_losses(self, kind, n, rows, l2, seed):
+        # the block's rows are drawn from four vectors, so rows may repeat
+        rng = np.random.default_rng(seed)
+        spec, data = random_spec_and_data(kind, rng, n=n, p=5, l2=l2)
+        vectors = rng.standard_normal((4, spec.dim))
+        losses = models.global_loss(spec, vectors[rows], data)
+        assert losses.shape == (len(rows),)
+        for loss, i in zip(losses, rows):
+            assert loss == pytest.approx(models.global_loss(spec, vectors[i], data), rel=1e-12)
+        for (a, i), (b, j) in itertools.combinations(zip(losses, rows), 2):
+            if i == j:
+                assert a == b
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @given(
+        l2=st.sampled_from([0.0, 0.01, 1e40]),
+        label_exp=st.integers(-3, 99),
+        feature_exp=st.integers(-3, 60),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loss_finite_inside_the_radius(
+        self, kind, l2, label_exp, feature_exp, frac, aligned, seed
+    ):
+        # a RuntimeWarning fails the suite, so this also checks none is raised
+        rng = np.random.default_rng(seed)
+        spec, data = random_spec_and_data(kind, rng, l2=l2)
+        data = models.Dataset(
+            data.features * 10.0**feature_exp, data.labels * 10.0**label_exp
+        )
+        radius = models.finite_loss_radius(spec, data)
+        assert radius > 0
+        if not aligned:
+            u = rng.standard_normal(spec.dim)
+        elif kind == models.MLP:
+            u = np.ones(spec.dim)  # every hidden unit saturates the same way
+        else:
+            # along the longest row, the prediction is as large as ‖w‖ allows
+            u = data.features[np.argmax(np.linalg.norm(data.features, axis=1))]
+        w = frac * radius * u / np.linalg.norm(u)
+        assume(np.linalg.norm(w) < radius)
+        assert math.isfinite(models.global_loss(spec, w, data))
+
+    def test_radius_is_zero_when_labels_reach_the_bound(self):
+        spec = models.ModelSpec(models.LINEAR, 2)
+        data = models.Dataset(np.ones((3, 2)), np.full(3, models.FINITE_BOUND))
+        assert models.finite_loss_radius(spec, data) == 0.0
 
 
 class TestGradient:
@@ -378,6 +437,13 @@ ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
             lambda: models.gradient(models.ModelSpec(models.LINEAR, 2), np.zeros(3), ONE_ROW),
             "parameter vector has length (3,), expected (2,)",
             id="w-length",
+        ),
+        pytest.param(
+            lambda: models.global_loss(
+                models.ModelSpec(models.LINEAR, 2), np.zeros((4, 3)), ONE_ROW
+            ),
+            "parameter vector has length (3,), expected (2,)",
+            id="block-width",
         ),
         pytest.param(
             lambda: models.TrainConfig(math.nan),

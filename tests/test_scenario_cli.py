@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airfed import cli, models
+from airfed import cli, core, models
 from airfed.scenario import _KEYS, ScenarioError, parse_scenario
 
 # values a scenario key may take: defaults, keywords, numbers of every kind
@@ -317,8 +318,16 @@ class TestRunCommand:
             else:
                 assert sorted(aggregated + named, key=int) == ["0", "1", "2", "3", "4"]
 
-    def test_divergence_exits_one_naming_the_round(self, tmp_path, capsys):
+    def test_divergence_exits_one_naming_the_round(self, tmp_path, capsys, monkeypatch):
         # at this step size the linear model's loss first overflows in round 82
+        run_round = core.run_round
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].round_index + 1)
+            return run_round(*args)
+
+        monkeypatch.setattr(core, "run_round", spy)
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 10\n"
@@ -328,11 +337,17 @@ class TestRunCommand:
         assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: training diverged in round 82")
-        # the 81 finished rounds are left behind, without a summary
+        # the run stops in the round whose loss overflows, not after it
+        assert calls == list(range(1, 83))
+        # the 81 finished rounds are left behind, with finite losses and
+        # without a summary
         for name in ("rounds.csv", "budget.csv"):
             with open(out / name, newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [int(r["round"]) for r in rows] == list(range(1, 82))
+        with open(out / "rounds.csv", newline="") as fh:
+            losses = [float(r["global_loss"]) for r in csv.DictReader(fh)]
+        assert all(math.isfinite(x) for x in losses)
         assert (out / "events.csv").read_text().splitlines() == ["round,kind,detail"]
         assert not (out / "summary.txt").exists()
 
@@ -537,8 +552,25 @@ class TestCompareCommand:
         assert [r["codec"] for r in rows] == [
             "dense|none",
             "thr0.01|binary",
-            "topk0.25|four-level|ef|m0.5|clip2|warmup",
+            "topk0.5,1|four-level|ef|m0.5|clip2",
         ]
+
+    def test_codec_column_names_the_fractions_that_run(self, tmp_path):
+        # with a warm-up, rho is never read: codecs that differ only in it
+        # get one label, and a one-fraction warm-up reads as that fraction
+        warmup = BASE + "sparsifier = topk\nwarmup = 0.5,0.125\n"
+        rows = self.compare_rows(
+            tmp_path,
+            warmup + "rho = 0.01\n",
+            warmup + "rho = 0.5\n",
+            BASE + "sparsifier = topk\nwarmup = 0.5\n",
+            BASE + "sparsifier = topk\nrho = 0.5\n",
+        )
+        assert [r["codec"] for r in rows] == [
+            "topk0.5,0.125|none", "topk0.5,0.125|none", "topk0.5|none", "topk0.5|none"
+        ]
+        assert rows[0]["final_loss"] == rows[1]["final_loss"]
+        assert rows[2]["final_loss"] == rows[3]["final_loss"]
 
     def test_gain_sweep_over_client_count(self, tmp_path):
         # paired baseline/over-the-air runs at several client counts
