@@ -129,12 +129,13 @@ def solve_aggregation_weights(
             nrm = np.linalg.norm(m_vec)
             if nrm > 0:
                 m_vec = m_vec / nrm
+            gain = H @ m_vec
         else:
             # principal direction of sum_k h_k h_k^T
             m_vec = np.linalg.eigh(H.T @ H)[1][:, -1]
-            if np.sum(H @ m_vec) < 0:
-                m_vec = -m_vec
-        gain = H @ m_vec
+            gain = H @ m_vec
+            if np.sum(gain) < 0:  # negation is exact: -(H m) == H (-m)
+                m_vec, gain = -m_vec, -gain
         a = tgt / np.maximum(gain, GAIN_EPS)  # masked below where gain <= eps
         keep = (gain > GAIN_EPS) & (a * a <= power_cap)
         if keep.all():
@@ -186,12 +187,18 @@ class HartleyProjection:
         f = np.fft.fft(u)
         return np.tile(f.real, 2), np.tile(f.imag, 2)
 
-    def gram_column(self, j: int) -> np.ndarray:
-        """A^T a_j. cas(a) cas(b) = cos(a - b) + sin(a + b), so summed over
-        the rows, G[i, j] = s_i s_j (Re F[(i - j) mod d] - Im F[(i + j) mod d])."""
+    def gram_column(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """A^T a_j, written into `out` when given. cas(a) cas(b) = cos(a - b)
+        + sin(a + b), so summed over the rows, G[i, j] = s_i s_j (Re F[(i - j)
+        mod d] - Im F[(i + j) mod d]). Each sign is +-1, so the two sign
+        products are exact in either order."""
         d = self.signs.size
         re, im = self._spectrum
-        return self.signs[j] * self.signs * (re[d - j : 2 * d - j] - im[j : j + d])
+        out = np.subtract(re[d - j : 2 * d - j], im[j : j + d], out=out)
+        out *= self.signs
+        if self.signs[j] < 0:
+            np.negative(out, out=out)
+        return out
 
     def column_norms(self) -> np.ndarray:
         """Exact norms: G's diagonal is ||a_j||^2 = m - Im F[2j mod d]. A
@@ -222,7 +229,9 @@ def omp_recover(
     ||y||^2 - sum (q_i^T y)^2, and extends them by one Gram column A^T a_j
     per step; R x = Q^T y is solved once, at the end. So a call transforms y
     once, and a `HartleyProjection` its rows' indicator once, whatever the
-    budget; the residual guard below adds at most one product A x.
+    budget; the residual guard below adds at most one product A x. The step
+    loop writes into buffers allocated once per call: `gram_column` fills
+    the new row of P in place.
 
     A difference of squared norms keeps rounding of a few eps of the larger
     term, so below GRAM_FLOOR = 64 eps of it (a norm below ~sqrt(eps) of
@@ -235,7 +244,7 @@ def omp_recover(
     m, d = A.shape
     y = np.asarray(y, dtype=np.float64)
     if isinstance(A, np.ndarray):
-        gram_column, c = lambda j: A.T @ A[:, j], A.T @ y
+        gram_column, c = lambda j, out: np.matmul(A.T, A[:, j], out=out), A.T @ y
         norms = np.linalg.norm(A, axis=0)
     else:
         gram_column, c, norms = A.gram_column, A.rmatvec(y), A.column_norms()
@@ -245,40 +254,44 @@ def omp_recover(
     P = np.empty((budget, d))  # row i: A^T q_i
     R = np.zeros((budget, budget))
     beta = np.empty(budget)  # entry i: q_i^T y
-    support: list[int] = []
-    taken = np.zeros(d, dtype=bool)
+    support = np.empty(budget, dtype=np.intp)  # entries [:k]: the picks so far
+    scores, step = np.empty(d), np.empty(d)
 
-    def fit() -> np.ndarray:
+    def fit(s: int) -> np.ndarray:
         x = np.zeros(d)
-        s = len(support)
-        x[support] = np.linalg.solve(R[:s, :s], beta[:s])
+        x[support[:s]] = np.linalg.solve(R[:s, :s], beta[:s])
         return x
 
     res_sq = float(y @ y)
     floor = GRAM_FLOOR * res_sq
-    for k in range(budget):
+    k = 0
+    while k < budget:
         if res_sq <= floor:
-            residual = y - A @ fit()
+            residual = y - A @ fit(k)
             res_sq, floor = float(residual @ residual), -1.0
         if res_sq < OMP_TOL**2:
             break
-        scores = np.abs(c) / norms
-        scores[taken] = -1.0
+        np.abs(c, out=scores)
+        scores /= norms
+        scores[support[:k]] = -1.0
         j = int(np.argmax(scores))
-        r = P[:k, j]
+        r = P[:k, j]  # a strided view: a contiguous copy rounds differently
         r_kk_sq = sq_norms[j] - r @ r
         if r_kk_sq <= GRAM_FLOOR * sq_norms[j]:
             break
         r_kk = math.sqrt(r_kk_sq)
-        P[k] = (gram_column(j) - r @ P[:k]) / r_kk
+        row = gram_column(j, out=P[k])
+        if k:
+            row -= np.dot(r, P[:k], out=step)  # the gemv of r @ P[:k], called more cheaply
+        row /= r_kk
         R[:k, k] = r
         R[k, k] = r_kk
-        beta[k] = c[j] / r_kk
-        c -= beta[k] * P[k]
-        res_sq -= beta[k] ** 2
-        taken[j] = True
-        support.append(j)
-    return fit()
+        beta[k] = b = c[j] / r_kk
+        c -= np.multiply(row, b, out=step)
+        res_sq -= b**2
+        support[k] = j
+        k += 1
+    return fit(k)
 
 
 def weighted_mean(vectors: list[np.ndarray] | np.ndarray, sizes: list[int]) -> np.ndarray:

@@ -419,6 +419,21 @@ class TestHartleyProjection:
                     current.gram_column(j), A.T @ A[:, j], rtol=0, atol=1e-12 * current.shape[0]
                 )
 
+    @given(projections())
+    @example(dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7])))
+    @settings(max_examples=100, deadline=None)
+    def test_gram_column_into_a_buffer(self, op):
+        # the sign products are exact, so their order leaves every bit,
+        # the sign of a zero included; d = 8 puts exact zeros in the Gram
+        d = op.shape[1]
+        re, im = op._spectrum
+        buf = np.empty(d)
+        for j in range(d):
+            want = op.signs[j] * op.signs * (re[d - j : 2 * d - j] - im[j : j + d])
+            assert op.gram_column(j, out=buf) is buf
+            assert_same_bits(buf, want)
+            assert_same_bits(op.gram_column(j), want)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_rows_distinct_signs_unit_and_seeded(self, data):
@@ -546,6 +561,70 @@ def omp_oracle(A, y, sparsity, tol=1e-8):
     return x
 
 
+def omp_reference(A, y, sparsity):
+    """`ch.omp_recover` as written with a new array for every operation of a
+    step, and the Gram column formed as s_j * s * (Re F - Im F): the buffered
+    loop must give the same bits."""
+    m, d = A.shape
+    y = np.asarray(y, dtype=np.float64)
+    if isinstance(A, np.ndarray):
+        gram_column, c = lambda j: A.T @ A[:, j], A.T @ y
+        norms = np.linalg.norm(A, axis=0)
+    else:
+        re, im = A._spectrum
+
+        def gram_column(j):
+            return A.signs[j] * A.signs * (re[d - j : 2 * d - j] - im[j : j + d])
+
+        c, norms = A.rmatvec(y), A.column_norms()
+    sq_norms = norms**2
+    norms[norms == 0] = 1.0
+    budget = min(sparsity, m, d)
+    P = np.empty((budget, d))
+    R = np.zeros((budget, budget))
+    beta = np.empty(budget)
+    support = []
+    taken = np.zeros(d, dtype=bool)
+
+    def fit():
+        x = np.zeros(d)
+        s = len(support)
+        x[support] = np.linalg.solve(R[:s, :s], beta[:s])
+        return x
+
+    res_sq = float(y @ y)
+    floor = ch.GRAM_FLOOR * res_sq
+    for k in range(budget):
+        if res_sq <= floor:
+            residual = y - A @ fit()
+            res_sq, floor = float(residual @ residual), -1.0
+        if res_sq < ch.OMP_TOL**2:
+            break
+        scores = np.abs(c) / norms
+        scores[taken] = -1.0
+        j = int(np.argmax(scores))
+        r = P[:k, j]
+        r_kk_sq = sq_norms[j] - r @ r
+        if r_kk_sq <= ch.GRAM_FLOOR * sq_norms[j]:
+            break
+        r_kk = math.sqrt(r_kk_sq)
+        P[k] = (gram_column(j) - r @ P[:k]) / r_kk
+        R[:k, k] = r
+        R[k, k] = r_kk
+        beta[k] = c[j] / r_kk
+        c -= beta[k] * P[k]
+        res_sq -= beta[k] ** 2
+        taken[j] = True
+        support.append(j)
+    return fit()
+
+
+def assert_same_bits(got, want):
+    """Equal arrays down to the sign of zero."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_same_support(got, want, atol):
     """Same coordinates above atol: a column that lstsq weights exactly 0 may
     get a coefficient of rounding size from another solver."""
@@ -636,6 +715,19 @@ class TestOmp:
         assert_same_support(got, want, atol)
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
+    @given(projections(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_the_unbuffered_loop(self, op, data):
+        m, d = op.shape
+        sparsity = data.draw(st.integers(0, m + 5))
+        nonzeros = data.draw(st.integers(0, m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.zeros(d)
+        x[rng.choice(d, size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        y = op @ x + (0.1 * rng.standard_normal(m) if data.draw(st.booleans()) else 0.0)
+        for A in (op, dense_form(op)):
+            assert_same_bits(ch.omp_recover(A, y, sparsity), omp_reference(A, y, sparsity))
+
     @pytest.mark.parametrize(
         "case, sparsity",
         [
@@ -662,6 +754,7 @@ class TestOmp:
         with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
             warnings.simplefilter("error")
             got = ch.omp_recover(A, y, sparsity)
+        assert_same_bits(got, omp_reference(A, y, sparsity))
         want = omp_oracle(A, y, sparsity)
         assert np.all(np.isfinite(got))
         assert np.linalg.norm(y - A @ got) == pytest.approx(
@@ -715,6 +808,8 @@ class TestOmp:
         with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
             warnings.simplefilter("error")
             got = ch.omp_recover(op, y, 8)
+        assert_same_bits(got, omp_reference(op, y, 8))
+        assert_same_bits(ch.omp_recover(A, y, 8), omp_reference(A, y, 8))
         want = omp_oracle(A, y, 8)
         assert np.all(np.isfinite(got))
         assert np.linalg.norm(y - A @ got) == pytest.approx(
@@ -746,6 +841,7 @@ class TestOmp:
         y = op @ x + 0.01 * rng.standard_normal(m)
         assert not near_tie(A, y, budget)
         got = ch.omp_recover(op, y, budget)
+        assert_same_bits(got, omp_reference(op, y, budget))
         want = omp_oracle(A, y, budget)
         atol = 1e-9 * np.max(np.abs(want))
         assert_same_support(got, want, atol)
