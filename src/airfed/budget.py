@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .errors import AirfedError
 
 
-class LedgerEntry(NamedTuple):  # the fields are budget.csv's columns, in order
+class LedgerEntry(NamedTuple):  # budget.csv's columns, in order; round_index is `round`
     round_index: int
     scheme: str
     uplink_uses: int
@@ -49,12 +49,15 @@ class BudgetLedger:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["round", "scheme", "uplink_uses", "uplink_bits", "downlink_bits"]
-            )
-            writer.writerows(self.entries)
+        write_csv(path, ["round", *LedgerEntry._fields[1:]], self.entries)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The header row, then the rows: every CSV file airfed writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def baseline_uses(round_indices: list[int], period: int, n_clients: int, dim: int) -> int:

@@ -102,8 +102,9 @@ def solve_aggregation_weights(
     reduced QR factorisation H^T = QR; pinv(H) @ 1 when R has a negligible
     diagonal entry, i.e. the channels are linearly dependent), otherwise take
     the principal channel direction (top eigenvector of H^T H); derive powers,
-    drop any client that needs more than the cap or sits in the beamformer's
-    null space, renormalize the remaining targets, and repeat.
+    drop every client whose gain m^T h_k on the beam is <= GAIN_EPS (negative
+    gains included) or whose squared amplitude (c_k / gain)^2 exceeds the cap,
+    renormalize the remaining targets, and repeat.
     """
     if power_cap <= 0:
         raise ConfigurationError("power cap must be > 0")
@@ -281,8 +282,7 @@ def omp_recover(
             break
         r_kk = math.sqrt(r_kk_sq)
         row = gram_column(j, out=P[k])
-        if k:
-            row -= np.dot(r, P[:k], out=step)  # the gemv of r @ P[:k], called more cheaply
+        row -= np.dot(r, P[:k], out=step)  # the gemv of r @ P[:k], called more cheaply
         row /= r_kk
         R[:k, k] = r
         R[k, k] = r_kk

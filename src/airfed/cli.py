@@ -10,13 +10,12 @@ Exit codes: 0 success, 1 usage/config error or a failed run, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 from . import core
-from .budget import BudgetLedger, baseline_uses, communication_gain
+from .budget import BudgetLedger, baseline_uses, communication_gain, write_csv
 from .errors import AirfedError, ProtocolError
 from .scenario import Scenario, load_scenario
 
@@ -63,18 +62,14 @@ ROUNDS_COLUMNS = (
 
 
 def write_rounds_csv(path: Path, records: list[core.RoundRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header for header, _ in ROUNDS_COLUMNS])
-        writer.writerows([value(r) for _, value in ROUNDS_COLUMNS] for r in records)
+    header = [h for h, _ in ROUNDS_COLUMNS]
+    write_csv(path, header, ([value(r) for _, value in ROUNDS_COLUMNS] for r in records))
 
 
 def write_events_csv(path: Path, records: list[core.RoundRecord]) -> None:
     """One row per recorded (kind, detail) event, in round order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "kind", "detail"])
-        writer.writerows((r.round_index, *event) for r in records for event in r.events)
+    rows = ((r.round_index, *event) for r in records for event in r.events)
+    write_csv(path, ["round", "kind", "detail"], rows)
 
 
 def write_summary(
@@ -164,12 +159,8 @@ def cmd_compare(args) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scheme", "codec", "final_loss", "rounds_to_threshold", "total_uses", "gain"]
-        )
-        writer.writerows(rows)
+    header = ["scheme", "codec", "final_loss", "rounds_to_threshold", "total_uses", "gain"]
+    write_csv(out / "compare.csv", header, rows)
     if not args.quiet:
         print((out / "compare.csv").read_text(), end="")
     return EXIT_OK

@@ -136,9 +136,7 @@ def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     if not (0 < rho <= 1):
         raise ConfigurationError("keep fraction must be in (0, 1]")
     d = g.size
-    k = max(1, math.ceil(rho * d))
-    if k >= d:
-        return np.arange(d)
+    k = max(1, math.ceil(rho * d))  # at most d: rho <= 1 and d >= 1
     key = -np.abs(g)  # ascending key; np.partition puts NaN last
     kth = np.partition(key, k - 1)[k - 1]
     if np.isnan(kth):  # fewer than k numbers: all of them, then NaNs

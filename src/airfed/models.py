@@ -151,9 +151,17 @@ def initial_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
-def _mlp_forward(W1, b1, w2, b2, X: np.ndarray):
-    A = np.tanh(X @ W1.T + b1)  # (n, h)
-    return A @ w2 + b2, A
+def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
+    """The predictions at rows X (z for logistic) of one parameter vector,
+    (n,), or of each row of a (B, dim) block, (n, B); and the MLP's hidden
+    activations, (n, h) or (n, B, h), or None for the other models."""
+    if spec.kind != MLP:
+        return X @ w.T, None  # w.T is w for one vector
+    W1, b1, w2, b2 = _unpack_mlp(spec, w)
+    A = (X @ W1.reshape(-1, spec.n_features).T).reshape(len(X), *b1.shape)
+    A += b1
+    np.tanh(A, out=A)
+    return np.einsum("...h,...h->...", A, w2) + b2.T, A
 
 
 def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float | np.ndarray:
@@ -166,14 +174,8 @@ def global_loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float | np.nda
     order of the sums."""
     spec.check_dims(w, data, block=w.ndim == 2)
     W = np.atleast_2d(w)
-    X, y = data.features, data.labels[:, None]
-    if spec.kind == MLP:
-        W1, b1, w2, b2 = _unpack_mlp(spec, W)  # (B, h, p), (B, h), (B, h), (B, 1)
-        H = (X @ W1.reshape(-1, spec.n_features).T).reshape(len(X), *b1.shape)
-        H += b1
-        Z = np.einsum("nbh,bh->nb", np.tanh(H, out=H), w2) + b2.T
-    else:
-        Z = X @ W.T  # (n, B)
+    y = data.labels[:, None]
+    Z, _ = _forward(spec, W, data.features)  # (n, B)
     if spec.kind == LOGISTIC:
         L = _log1pexp(Z)
         L -= np.multiply(Z, y, out=Z)
@@ -211,10 +213,10 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:
 def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The gradient over rows X, y, whose dimensions the caller has checked."""
     n = X.shape[0]
+    z, A = _forward(spec, w, X)
     if spec.kind == MLP:
-        W1, b1, w2, b2 = _unpack_mlp(spec, w)
-        yhat, A = _mlp_forward(W1, b1, w2, b2, X)
-        r = (yhat - y) / n  # (n,)
+        _, _, w2, _ = _unpack_mlp(spec, w)
+        r = (z - y) / n  # (n,)
         dZ = np.outer(r, w2) * (1.0 - A * A)  # (n, h)
         g = np.empty_like(w)
         g_W1, g_b1, g_w2, g_b2 = _unpack_mlp(spec, g)  # views into g
@@ -222,8 +224,7 @@ def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> n
         g_b1[...] = dZ.sum(axis=0)
         g_w2[...] = A.T @ r
         g_b2[...] = r.sum()
-    else:
-        z = X @ w  # the link is z for linear, sigmoid(z) for logistic
+    else:  # the link is z for linear, sigmoid(z) for logistic
         g = X.T @ ((_sigmoid(z) if spec.kind == LOGISTIC else z) - y) / n
     return g + spec.l2 * w if spec.l2 > 0 else g
 

@@ -38,6 +38,7 @@ CASES = {
     "cs_ota_demo": ROOT / "scenarios" / "cs_ota_demo.cfg",
     "ota_demo": ROOT / "scenarios" / "ota_demo.cfg",
     "channel_select": ROOT / "tests" / "scenarios" / "channel_select.cfg",
+    "mlp_period": ROOT / "tests" / "scenarios" / "mlp_period.cfg",
 }
 CSV_FILES = ("rounds.csv", "budget.csv", "events.csv")
 FLOAT_CELLS = {
