@@ -97,25 +97,27 @@ def solve_aggregation_weights(
 ) -> AirPlan:
     """Find (m, p) approximating m^T h_k sqrt(p_k) = c_k under the power cap.
 
-    Iterative heuristic: solve for the minimum-norm beamformer hitting unit
-    gain on every candidate when antennas allow (m = Q R^-T 1 from the
-    reduced QR factorisation H^T = QR; pinv(H) @ 1 when R has a negligible
-    diagonal entry, i.e. the channels are linearly dependent), otherwise take
-    the principal channel direction (top eigenvector of H^T H); derive powers,
-    drop every client whose gain m^T h_k on the beam is <= GAIN_EPS (negative
-    gains included) or whose squared amplitude (c_k / gain)^2 exceeds the cap,
-    renormalize the remaining targets, and repeat.
+    Iterative heuristic over the candidates: c_k is client k's target weight
+    (such as its size |D_k|) over the candidates' sum; solve for the
+    minimum-norm beamformer hitting unit gain on every candidate when
+    antennas allow (m = Q R^-T 1 from the reduced QR factorisation H^T = QR;
+    pinv(H) @ 1 when R has a negligible diagonal entry, i.e. the channels
+    are linearly dependent), otherwise take the principal channel direction
+    (top eigenvector of H^T H); derive powers, drop every client whose gain
+    m^T h_k on the beam is <= GAIN_EPS (negative gains included) or whose
+    squared amplitude (c_k / gain)^2 exceeds the cap, and repeat.
     """
     if power_cap <= 0:
         raise ConfigurationError("power cap must be > 0")
     ids = np.array(sorted(targets), dtype=np.intp)
-    shares = tgt = np.array([targets[cid] for cid in ids.tolist()])
+    shares = np.array([targets[cid] for cid in ids.tolist()])
     if not np.all((shares >= 0) & (shares < np.inf)):
         raise ConfigurationError("targets must be finite and >= 0")
-    if not ids.size or abs(sum(shares.tolist()) - 1.0) > 1e-9:
-        raise ConfigurationError("targets must sum to 1 over candidates")
+    if not sum(shares.tolist()) > 0:
+        raise ConfigurationError("targets must have a positive sum")
 
     while ids.size:
+        tgt = shares / (sum(shares.tolist()) or 1.0)  # in order, unlike np.sum
         H = ch.gains[ids]  # (Kc, N)
         if ch.n_antennas >= ids.size:
             ones = np.ones(ids.size)
@@ -130,21 +132,18 @@ def solve_aggregation_weights(
             nrm = np.linalg.norm(m_vec)
             if nrm > 0:
                 m_vec = m_vec / nrm
-            gain = H @ m_vec
         else:
             # principal direction of sum_k h_k h_k^T
             m_vec = np.linalg.eigh(H.T @ H)[1][:, -1]
-            gain = H @ m_vec
-            if np.sum(gain) < 0:  # negation is exact: -(H m) == H (-m)
-                m_vec, gain = -m_vec, -gain
+        gain = H @ m_vec
+        # eigh's sign is arbitrary; unit-gain beam gains sum to ||P 1||^2 >= 0
+        if np.sum(gain) < 0:  # negation is exact: -(H m) == H (-m)
+            m_vec, gain = -m_vec, -gain
         a = tgt / np.maximum(gain, GAIN_EPS)  # masked below where gain <= eps
         keep = (gain > GAIN_EPS) & (a * a <= power_cap)
         if keep.all():
             return AirPlan(m_vec, a, ids.tolist())
         ids, shares = ids[keep], shares[keep]
-        # summed in order as in the check above; np.sum would pair the terms
-        total = sum(shares.tolist())  # 0 only if all are 0
-        tgt = shares / (total or 1.0)
     raise SchemeError("no clients satisfy the aggregation constraints")
 
 

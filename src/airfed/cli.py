@@ -32,10 +32,6 @@ def _fmt_gain(gain: float) -> str:
     return "undefined" if math.isnan(gain) else _fmt(gain)
 
 
-def _final_loss(records: list[core.RoundRecord]) -> float:
-    return records[-1].global_loss if records else math.nan
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airfed", description="Federated-learning-over-wireless simulator"
@@ -86,7 +82,7 @@ def write_summary(
     )
     gain = _fmt_gain(communication_gain(base_uses, ledger.total_uses))
     lines = [
-        f"final_loss = {_fmt(_final_loss(records))}",
+        f"final_loss = {_fmt(records[-1].global_loss)}",
         f"rounds = {len(records)}",
         f"total_uplink_uses = {ledger.total_uses}",
         f"total_uplink_bits = {ledger.total_uplink_bits}",
@@ -151,7 +147,7 @@ def cmd_compare(args) -> int:
             [
                 sc.round_cfg.scheme.kind,
                 sc.round_cfg.codec.codec_id,
-                _fmt(_final_loss(records)),
+                _fmt(records[-1].global_loss),
                 next(reached, -1),
                 ledger.total_uses,
                 gain,

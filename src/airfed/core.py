@@ -244,8 +244,7 @@ def run_round(
     plan = None
     transmitters = survivors
     if scheme.analog and survivors:
-        total = sum(sizes[cid] for cid in survivors)
-        targets = {cid: sizes[cid] / total for cid in survivors}
+        targets = {cid: sizes[cid] for cid in survivors}  # the solver normalises
         try:
             plan = ch_mod.solve_aggregation_weights(realization, targets, cfg.power_cap)
         except SchemeError:

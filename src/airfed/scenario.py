@@ -97,7 +97,7 @@ def _flag(key, text):
 # key's value or raises a ScenarioError naming the key
 _KEYS = {
     "seed": ("0", _number(int, lo=0)),
-    "rounds": ("10", _number(int, lo=0)),
+    "rounds": ("10", _number(int, lo=1)),
     "model": ("logistic", _choice(models.MODEL_KINDS)),
     "features": ("10", _number(int, lo=1)),
     "hidden": ("8", _number(int, lo=1)),

@@ -202,13 +202,43 @@ class TestSolveAggregationWeights:
         assert all(v < 1e-9 for v in residuals(r, targets, plan).values())
 
 
+    @given(
+        K=st.integers(1, 10),
+        N=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.floats(1e-2, 1e3),
+        j=st.integers(-40, 40),
+    )
+    @example(K=3, N=5, seed=1, cap=1.0, j=-3)  # K <= N: two of three excluded
+    @example(K=8, N=3, seed=0, cap=10.0, j=7)  # K > N: five of eight excluded
+    @settings(max_examples=100, deadline=None)
+    def test_weights_scaled_by_a_power_of_two_give_the_same_plan(self, K, N, seed, cap, j):
+        # the solver normalises the weights over each pass's candidates, and
+        # a power of two scales every weight and every sum exactly
+        rng = np.random.default_rng(seed)
+        r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
+        weights = dict(enumerate(rng.uniform(0.5, 50, K).tolist()))
+        scaled = {cid: math.ldexp(w, j) for cid, w in weights.items()}
+        try:
+            want = ch.solve_aggregation_weights(r, weights, cap)
+        except SchemeError:
+            with pytest.raises(SchemeError):
+                ch.solve_aggregation_weights(r, scaled, cap)
+            return
+        got = ch.solve_aggregation_weights(r, scaled, cap)
+        assert got.transmitters == want.transmitters
+        assert got.beam.tobytes() == want.beam.tobytes()
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 def svd_plan_oracle(r, targets, power_cap):
     """Reference solver: the same exclusion loop, factorising each pass with
     an SVD (principal right singular vector) or pinv(H) @ 1, and filtering
     candidates one at a time."""
     candidates = sorted(targets)
-    tgt = {cid: targets[cid] for cid in candidates}
     while candidates:
+        total = sum(targets[cid] for cid in candidates)
+        tgt = {cid: targets[cid] / (total or 1.0) for cid in candidates}
         H = r.gains[candidates]
         if r.n_antennas >= len(candidates):
             m_vec = np.linalg.pinv(H) @ np.ones(len(candidates))
@@ -229,9 +259,6 @@ def svd_plan_oracle(r, targets, power_cap):
         if len(amplitudes) == len(candidates):
             return ch.AirPlan(m_vec, np.array(list(amplitudes.values())), candidates)
         candidates = list(amplitudes)
-        total = sum(targets[cid] for cid in candidates)
-        if total > 0:
-            tgt = {cid: targets[cid] / total for cid in candidates}
     raise SchemeError("no clients satisfy the aggregation constraints")
 
 
@@ -256,7 +283,7 @@ class TestSolverMatchesSvdOracle:
         K = data.draw(st.integers(1, 70))
         N = data.draw(st.integers(1, 40))
         sizes = data.draw(st.lists(st.integers(1, 50), min_size=K, max_size=K))
-        targets = {k: sizes[k] / sum(sizes) for k in range(K)}
+        targets = dict(enumerate(sizes))  # weights, as a round passes them
         cap = data.draw(st.floats(1e-2, 1e6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         r = ch.ChannelRealization(rng.standard_normal((K, N)), 0.0)
@@ -947,9 +974,9 @@ ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
             id="cap",
         ),
         pytest.param(
-            lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 0.5}, 1.0),
+            lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 0.0}, 1.0),
             ConfigurationError,
-            "targets must sum to 1",
+            "targets must have a positive sum",
             id="targets-sum",
         ),
         pytest.param(

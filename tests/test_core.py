@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -349,7 +350,9 @@ def named(rec, kind):
 
 class TestRunTraining:
     def test_zero_rounds(self):
-        records, ledger = run_scenario("seed = 1\nrounds = 0")
+        # the parser rejects rounds = 0; the library still runs zero rounds
+        sc = dataclasses.replace(parse_scenario("seed = 1"), rounds=0)
+        records, ledger = core.run_training(sc)
         assert records == [] and ledger.entries == []
 
     @pytest.mark.parametrize(
@@ -656,6 +659,67 @@ class TestSchedulingBeforeCompute:
         for r, late in zip(rounds, missed):
             assert r["trained"] == r["encoded"] == [0, 1, 2, 3, 4]
             assert late.isdisjoint(r["rec"].participants)
+
+
+class TestOverTheAirTargets:
+    def test_solver_gets_the_survivors_sizes(self, monkeypatch):
+        # the solver normalises the weights itself: the round hands it the
+        # survivors' raw sizes, never shares
+        solve, calls = ch.solve_aggregation_weights, []
+
+        def spy(realization, targets, power_cap):
+            calls.append(dict(targets))
+            return solve(realization, targets, power_cap)
+
+        monkeypatch.setattr(ch, "solve_aggregation_weights", spy)
+        sc = parse_scenario(
+            "seed = 9\nrounds = 8\nfeatures = 4\nclients = 5\nsizes = 3, 8, 5, 12, 7\n"
+            "scheme = over-the-air\nantennas = 3\npower_cap = 1e6\n"
+            "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n"
+        )
+        records, _ = core.run_training(sc)
+        assert any(named(rec, "deadline-miss") for rec in records)
+        assert any(named(rec, "excluded") for rec in records)
+        assert len(calls) == len(records)
+        for targets, rec in zip(calls, records):
+            survivors = set(rec.participants) | named(rec, "excluded")
+            assert targets == {cid: sc.partition.sizes[cid] for cid in sorted(survivors)}
+            assert all(type(size) is int for size in targets.values())
+
+
+class TestNoiseFloorOracle:
+    """Near the optimum of a linear model with noiseless labels, an
+    over-the-air run is noisy gradient descent w <- w - mu (grad F(w) + n),
+    with n of variance sigma^2 per entry behind the unit-norm beam. Its
+    stationary loss is F = 1/2 mu sigma^2 sum_i 1 / (2 - mu lambda_i), with
+    lambda_i the eigenvalues of X^T X / n of the population (the
+    constant-step SGD stationary law; Mandt, Hoffman & Blei, arXiv
+    1704.04289). Every client's gradient vanishes at the same optimum, so
+    the law holds with exclusions too (K > N)."""
+
+    MU, SIGMA = 0.1, 0.1
+    # Tail mean over rounds 201-600 divided by the prediction, per seed 0-3:
+    # 0.922, 1.081, 1.058, 1.009 at (K, N) = (4, 8) and 0.993, 1.056, 1.056,
+    # 1.028 at (8, 4). A seed's ratio scatters by up to sd 0.07, so the mean
+    # of four by a standard error of 0.035; TOL is about four of those.
+    TOL = 0.15
+
+    @pytest.mark.parametrize("clients, antennas", [(4, 8), (8, 4)])
+    def test_tail_loss_meets_the_predicted_floor(self, clients, antennas):
+        ratios = []
+        for seed in range(4):
+            sc = parse_scenario(
+                f"seed = {seed}\nrounds = 600\nmodel = linear\nfeatures = 20\n"
+                f"clients = {clients}\nclient_size = 50\nmu = {self.MU}\n"
+                f"scheme = over-the-air\nantennas = {antennas}\n"
+                f"sigma = {self.SIGMA}\npower_cap = 1e6\n"
+            )
+            records, _ = core.run_training(sc)
+            X = models.make_synthetic(sc.partition, sc.seed).features
+            lam = np.linalg.eigvalsh(X.T @ X / len(X))
+            floor = 0.5 * self.MU * self.SIGMA**2 * np.sum(1 / (2 - self.MU * lam))
+            ratios.append(np.mean([r.global_loss for r in records[200:]]) / floor)
+        assert abs(np.mean(ratios) - 1) < self.TOL, ratios
 
 
 class TestFig2Properties:

@@ -11,7 +11,14 @@ A change that moves outputs on purpose rewrites the files with
     PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]
 
 which rewrites the named cases (every case when none is named) and prints,
-per file, the values that moved and the final loss before and after.
+per file, the values that moved and the final loss before and after. A
+change that must keep every output byte is checked against a checkout of
+its parent (such as a `git archive` of it) with
+
+    PYTHONPATH=src python3 tests/test_golden.py --against DIR
+
+which runs every case at seeds 7 and 11 with DIR/src and with this tree, at
+one BLAS thread, and prints the cells that differ at all.
 """
 
 from __future__ import annotations
@@ -110,17 +117,20 @@ def test_outputs_match_golden(name):
     assert moved(want, outputs(CASES[name])) == []
 
 
-def outputs_at_blas_threads(name: str, threads: int) -> dict:
+def outputs_at_blas_threads(
+    name: str, threads: int, seed: int = SEED, src: Path = ROOT / "src"
+) -> dict:
     """`outputs` of one case in a fresh process whose BLAS runs `threads`
-    threads: the count is fixed when numpy loads."""
+    threads (the count is fixed when numpy loads), importing airfed from
+    `src`."""
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import test_golden as g; "
-        "print(json.dumps(g.outputs(g.CASES[sys.argv[2]])))"
+        "print(json.dumps(g.outputs(g.CASES[sys.argv[2]], int(sys.argv[3]))))"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(GOLDEN_DIR.parent), name],
+        [sys.executable, "-c", script, str(GOLDEN_DIR.parent), name, str(seed)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -171,6 +181,28 @@ def regen(names: list[str]) -> None:
             print(f"  {line}")
 
 
+def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> None:
+    """Run every case at each seed with `checkout`/src and with this tree,
+    each in its own process at one BLAS thread, and list per case and seed
+    the cells that differ at all (`moved` at rtol 0)."""
+    for name in sorted(CASES):
+        for seed in seeds:
+            old, new = (
+                outputs_at_blas_threads(name, 1, seed, src)
+                for src in (checkout.resolve() / "src", ROOT / "src")
+            )
+            changes = moved(old, new, rtol=0.0)
+            print(f"{name} seed {seed}: {len(changes)} columns moved")
+            for line in changes:
+                print(f"  {line}")
+
+
+def test_against_a_checkout_lists_what_moved(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {"baseline": CASES["baseline"]})
+    against(ROOT, seeds=(SEED,))
+    assert capsys.readouterr().out == f"baseline seed {SEED}: 0 columns moved\n"
+
+
 def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
     committed = json.loads(golden_path("baseline").read_text())
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
@@ -185,9 +217,13 @@ def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
 
 if __name__ == "__main__":
     flag, *names = sys.argv[1:] or [""]
-    if flag != "--regen" or not set(names) <= set(CASES):
+    if flag == "--against" and len(names) == 1:
+        against(Path(names[0]))
+    elif flag == "--regen" and set(names) <= set(CASES):
+        regen(names or sorted(CASES))
+    else:
         sys.exit(
             "usage: PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]\n"
+            "       PYTHONPATH=src python3 tests/test_golden.py --against DIR\n"
             f"cases: {' '.join(sorted(CASES))}"
         )
-    regen(names or sorted(CASES))

@@ -3,11 +3,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed import cli, core, models
+from airfed.errors import ProtocolError
 from airfed.scenario import _KEYS, ScenarioError, parse_scenario
 
 # values a scenario key may take: defaults, keywords, numbers of every kind
@@ -203,14 +205,13 @@ BASE = "seed = 9\nrounds = 6\nclients = 5\nclient_size = 10\nfeatures = 8\nmu = 
 
 
 class TestRunCommand:
-    def test_zero_rounds_header_only(self, tmp_path):
+    def test_zero_rounds_header_only(self, tmp_path, capsys):
+        # a run of zero rounds has no final loss: the parser rejects it
         f = tmp_path / "s.cfg"
         f.write_text("seed = 1\nrounds = 0\n")
-        assert run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        rounds = (tmp_path / "out" / "rounds.csv").read_text().splitlines()
-        assert len(rounds) == 1 and rounds[0].startswith("round,")
-        budget = (tmp_path / "out" / "budget.csv").read_text().splitlines()
-        assert len(budget) == 1
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "invalid value for `rounds`: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         f = tmp_path / "s.cfg"
@@ -350,6 +351,46 @@ class TestRunCommand:
         assert all(math.isfinite(x) for x in losses)
         assert (out / "events.csv").read_text().splitlines() == ["round,kind,detail"]
         assert not (out / "summary.txt").exists()
+
+    def test_overflow_in_round_one_stops_at_the_round_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at this step size the first local step overflows the parameters,
+        # so `core._finish` stops the run before any loss is evaluated; at
+        # mu = 1e300 they stay finite, and the loss check stops it instead
+        finish, raised = core._finish, []
+
+        def spy(rec, server):
+            try:
+                return finish(rec, server)
+            except ProtocolError as exc:
+                raised.append(f"error: {exc}\n")
+                raise
+
+        monkeypatch.setattr(core, "_finish", spy)
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            "seed = 3\nmodel = linear\nfeatures = 10\nclients = 4\n"
+            "client_size = 20\nmu = 1e308\n"
+        )
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in round 1:")
+        assert raised == [err]
+        header = ",".join(h for h, _ in cli.ROUNDS_COLUMNS)
+        assert (out / "rounds.csv").read_text().splitlines() == [header]
+        assert not (out / "summary.txt").exists()
+
+    def test_run_and_compare_print_their_files_unless_quiet(self, tmp_path, capsys):
+        f = tmp_path / "s.cfg"
+        f.write_text(BASE)
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "summary.txt").read_text()
+        assert run_cli(["compare", str(f), str(f), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "compare.csv").read_text()
 
     def test_zero_step_size_never_moves_the_model(self, tmp_path):
         f = tmp_path / "s.cfg"
