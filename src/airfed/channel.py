@@ -349,7 +349,9 @@ def transmit_round(
         raise SchemeError("no payloads to transmit")
     sizes = [e.size for e in entries]
     exact = weighted_mean([e.raw for e in entries], sizes)
-    rows = np.asarray([e.dense for e in entries])  # (K, d), each decoded once
+    rows = np.empty((len(entries), entries[0].payload.d))  # (K, d): one decode per row
+    for e, row in zip(entries, rows):
+        e.payload.decode(out=row)
     if scheme.analog and (ch is None or plan is None):
         raise ConfigurationError("analog schemes require a channel and a plan")
     if scheme.analog and ch.noise_std > 0 and rng is None:

@@ -51,10 +51,17 @@ class CompressedGradient:
     d: int
     payload_bits: int
 
-    def decode(self) -> np.ndarray:
-        dense = np.zeros(self.d)
-        dense[self.indices] = self.values
-        return dense
+    def decode(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense length-d vector, written into `out` when given: every
+        entry of `out` is set, the unsent ones to zero."""
+        if out is None:
+            out = np.zeros(self.d)
+        elif out.shape != (self.d,):
+            raise ConfigurationError(f"decode target has shape {out.shape}, expected ({self.d},)")
+        else:
+            out.fill(0.0)
+        out[self.indices] = self.values
+        return out
 
 
 @dataclass
@@ -127,8 +134,18 @@ def _payload_bits(d: int, n_kept: int, quantizer: str, implicit_indices: bool) -
     return n_kept * (index_bits(d) + sym) + HEADER_BITS
 
 
+def kept_count(fraction: float, n: int) -> int:
+    """How many of n items a fraction in (0, 1] keeps: max(1, ceil(fraction*n)),
+    at most n. A product within 4 * 2^-52 relative above an integer is that
+    integer, since the rounding of the product put it there: 0.07 * 100 is
+    7.000000000000001, which keeps 7 items, not 8."""
+    x = fraction * n
+    k = math.floor(x)
+    return max(1, k if x - k <= 4 * 2.0**-52 * k else k + 1)
+
+
 def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
-    """Indices of the k = max(1, ceil(rho*d)) largest-|g| entries, ties to
+    """Indices of the k = kept_count(rho, d) largest-|g| entries, ties to
     the lower index, returned sorted ascending. NaN ranks below every number.
 
     Linear time: a partition finds the k-th key, every entry strictly above
@@ -136,7 +153,7 @@ def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     if not (0 < rho <= 1):
         raise ConfigurationError("keep fraction must be in (0, 1]")
     d = g.size
-    k = max(1, math.ceil(rho * d))  # at most d: rho <= 1 and d >= 1
+    k = kept_count(rho, d)
     key = -np.abs(g)  # ascending key; np.partition puts NaN last
     kth = np.partition(key, k - 1)[k - 1]
     if np.isnan(kth):  # fewer than k numbers: all of them, then NaNs

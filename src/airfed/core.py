@@ -93,11 +93,11 @@ def select_participants(
     channel: ch_mod.ChannelRealization | None = None,
     mode: str = SELECT_RANDOM,
 ) -> list[int]:
-    """Choose max(1, ceil(fraction*K)) of the clients 0..K-1, in ascending
-    order; channel-aware mode ranks client k by the norm of row k of the
-    channel, descending, with ties to the lower id. Random mode builds its
-    generator from `rng_factory` only when it leaves a client out, so full
-    participation may pass None."""
+    """Choose `compression.kept_count(fraction, K)` of the clients 0..K-1,
+    in ascending order; channel-aware mode ranks client k by the norm of row
+    k of the channel, descending, with ties to the lower id. Random mode
+    builds its generator from `rng_factory` only when it leaves a client
+    out, so full participation may pass None."""
     if not (0 < fraction <= 1):
         raise ConfigurationError("fraction must be in (0, 1]")
     if mode == SELECT_CHANNEL:
@@ -105,7 +105,7 @@ def select_participants(
             raise ConfigurationError("channel-aware selection needs a realization")
         norms = np.linalg.norm(channel.gains[:n_clients], axis=1)
         return comp_mod.topk_indices(norms, fraction).tolist()
-    k = max(1, math.ceil(fraction * n_clients))
+    k = comp_mod.kept_count(fraction, n_clients)
     if k >= n_clients:
         return list(range(n_clients))
     chosen = rng_factory().choice(n_clients, size=k, replace=False)
@@ -293,7 +293,7 @@ def run_round(
     server.params = server.params - train_cfg.step_size * result.aggregated
 
     # broadcast: every client restarts from the new global parameters; local
-    # SGD copies its start, so one read-only array serves them all
+    # SGD never writes its start, so one read-only array serves them all
     server.params.flags.writeable = False
     for c in clients:
         c.local_params = server.params

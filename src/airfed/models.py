@@ -240,21 +240,28 @@ def sgd_local_update(
 
     Batches are drawn without replacement per epoch, reshuffled per epoch
     from the supplied generator, so the trajectory is reproducible. A full
-    batch draws nothing and steps on views of every row.
+    batch draws nothing and steps on views of every row. w_start is never
+    written, so it may be a read-only array that many clients share: the
+    first step writes a new array, and later steps update that one in place.
     """
-    w = np.array(w_start, dtype=np.float64)
+    w = np.asarray(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
     X, y = data.features, data.labels
     n = data.size
     rows, pos = slice(None), n  # pos = n: the first mini-batch step draws an order
-    for _ in range(cfg.local_steps):
+    for step in range(cfg.local_steps):
         if cfg.batch_size != "full":
             if pos >= n:
                 order, pos = rng.permutation(n), 0
             rows, pos = order[pos : pos + cfg.batch_size], pos + cfg.batch_size
         # gathered in the call, so a batch's copy is freed before the next
         # gather: holding it across a step doubled the step time at d = 2000
-        w -= cfg.step_size * _gradient(spec, w, X[rows], y[rows])
+        g = _gradient(spec, w, X[rows], y[rows])
+        g *= cfg.step_size  # the gradient is a new array: scaled in place
+        if step:
+            w -= g
+        else:
+            w = w - g
     return w
 
 

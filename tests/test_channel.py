@@ -925,6 +925,81 @@ class TestMetamorphic:
         assert ota.aggregation_error == pytest.approx(digital.aggregation_error, abs=1e-8)
 
 
+def transmit_reference(entries, scheme, r, plan, rng):
+    """`ch.transmit_round`'s aggregate and error as written with a fresh
+    dense vector per entry, `e.dense`, stacked by np.asarray: decoding into
+    the round's row matrix must give the same bits."""
+    sizes = [e.size for e in entries]
+    exact = ch.weighted_mean([e.raw for e in entries], sizes)
+    rows = np.asarray([e.dense for e in entries])
+    if scheme.kind == ch.IDEAL_DIGITAL:
+        agg = ch.weighted_mean(rows, sizes)
+    else:
+        y = (r.gains[plan.transmitters] @ plan.beam * plan.amplitudes) @ rows
+        if scheme.kind == ch.CS_OVER_THE_AIR:
+            A = ch.measurement_matrix(y.size, scheme.measurements, r.seed)
+            y = A @ y
+        if r.noise_std > 0:
+            y = y + r.noise_std * rng.standard_normal((y.size, r.n_antennas)) @ plan.beam
+        agg = y
+        if scheme.kind == ch.CS_OVER_THE_AIR:
+            budget = sum(np.count_nonzero(e.payload.values) for e in entries)
+            agg = ch.omp_recover(A, y, budget)
+    return agg, float(np.linalg.norm(agg - exact))
+
+
+class TestTransmitRoundMatchesStackedReference:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_stacking_the_dense_rows(self, data):
+        kind = data.draw(st.sampled_from(ch.SCHEMES))
+        K = data.draw(st.integers(1, 8))
+        N = data.draw(st.integers(1, 6))  # plans with K <= N and with K > N
+        d = data.draw(st.integers(2, 24))
+        sigma = data.draw(st.sampled_from([0.0, 0.3]))
+        spec = data.draw(
+            st.builds(
+                C.CodecSpec,
+                sparsifier=st.sampled_from(C.SPARSIFIERS),
+                threshold=st.sampled_from([0.0, 0.5]),
+                keep_fraction=st.floats(0.05, 1.0),
+                quantizer=st.sampled_from(C.QUANTIZERS),
+            )
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 50, size=K).tolist()
+        r = ch.ChannelRealization(rng.standard_normal((K, N)), sigma, seed)
+        scheme = ch.TransportScheme(ch.IDEAL_DIGITAL)
+        plan, senders = None, range(K)
+        if kind != ch.IDEAL_DIGITAL:
+            m = data.draw(st.integers(1, d - 1)) if kind == ch.CS_OVER_THE_AIR else None
+            scheme = ch.TransportScheme(kind, m)
+            try:
+                plan = ch.solve_aggregation_weights(r, dict(enumerate(sizes)), 1e6)
+            except SchemeError:
+                assume(False)
+            senders = plan.transmitters
+        raws = rng.standard_normal((K, d))
+        entries = [ch.TransmitEntry(k, C.encode(raws[k], spec), raws[k], sizes[k])
+                   for k in senders]
+
+        got = ch.transmit_round(entries, scheme, r, plan, np.random.default_rng(seed))
+        want, error = transmit_reference(entries, scheme, r, plan, np.random.default_rng(seed))
+        assert_same_bits(got.aggregated, want)
+        assert got.aggregation_error.hex() == error.hex()
+
+        # a row of a filled matrix: decode writes that row, and only that row
+        block = rng.standard_normal((len(entries), d))
+        before = block.copy()
+        i = data.draw(st.integers(0, len(entries) - 1))
+        row = block[i]
+        assert entries[i].payload.decode(out=row) is row
+        assert_same_bits(block[i], entries[i].dense)
+        others = np.arange(len(entries)) != i
+        assert_same_bits(block[others], before[others])
+
+
 ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
 
 
@@ -990,6 +1065,22 @@ ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
             ConfigurationError,
             "analog schemes require a channel and a plan",
             id="analog-no-plan",
+        ),
+        pytest.param(
+            lambda: C.encode(np.ones(3), C.CodecSpec()).decode(out=np.zeros(4)),
+            ConfigurationError,
+            "decode target has shape (4,), expected (3,)",
+            id="decode-target",
+        ),
+        pytest.param(
+            lambda: ch.transmit_round(
+                [make_entries([np.ones(2)], [1])[0],
+                 ch.TransmitEntry(1, C.encode(np.ones(3), C.CodecSpec()), np.ones(2), 1)],
+                DIGITAL,
+            ),
+            ConfigurationError,
+            "decode target has shape (2,), expected (3,)",
+            id="payload-lengths-differ",
         ),
     ],
 )

@@ -1,5 +1,4 @@
 import itertools
-import math
 import re
 
 import numpy as np
@@ -31,7 +30,7 @@ finite_vectors = hnp.arrays(
 def lexsort_topk(g, rho):
     """Oracle: the full-sort top-k rule. Descending |g|, ties to the lower
     index, NaN after every number."""
-    k = max(1, math.ceil(rho * g.size))
+    k = C.kept_count(rho, g.size)
     return np.sort(np.lexsort((np.arange(g.size), -np.abs(g)))[:k])
 
 
@@ -117,6 +116,10 @@ class TestSparsifyTopk:
         np.testing.assert_array_equal(c.indices, [1, 3])
         np.testing.assert_array_equal(c.values, [-5.0, 3.0])
 
+    def test_product_an_ulp_above_an_integer_keeps_that_many(self):
+        assert 0.07 * 100 > 7  # 7.000000000000001
+        assert C.topk_indices(np.arange(100.0), 0.07).size == 7
+
     def test_rho_one_keeps_everything(self):
         g = np.arange(6, dtype=float)
         c = topk(g, 1.0)
@@ -151,6 +154,33 @@ class TestSparsifyTopk:
         g = np.array([np.nan, np.nan, 1.0, 2.0])
         np.testing.assert_array_equal(C.topk_indices(g, 0.75), [0, 2, 3])
         np.testing.assert_array_equal(C.topk_indices(g, 0.5), [2, 3])
+
+
+class TestKeptCount:
+    @pytest.mark.parametrize(
+        "fraction, n, want",
+        [
+            (0.07, 100, 7),  # 0.07 * 100 rounds above 7
+            (0.005, 1000, 5),  # the workloads' and golden cases' exact products
+            (0.01, 2000, 20),
+            (0.015625, 2000, 32),
+            (0.02, 200, 4),
+            (0.5, 12, 6),
+            (0.5, 20, 10),
+            (0.071, 100, 8),  # truly above 7: the next integer
+            (1e-3, 10, 1),  # never fewer than one
+            (1.0, 7, 7),
+        ],
+    )
+    def test_examples(self, fraction, n, want):
+        assert C.kept_count(fraction, n) == want
+
+    @given(st.integers(1, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_k_over_n_of_n_is_k(self, n, data):
+        # (k / n) * n rounds to within 2^-52 of k, above it or below
+        k = data.draw(st.integers(1, n))
+        assert C.kept_count(k / n, n) == k
 
 
 class TestQuantize:

@@ -204,7 +204,7 @@ class TestSelectParticipants:
         for k in range(1, len(ids) + 1):
             fraction = k / len(ids)
             # oracle: rank every id by descending norm, ties to the lower id
-            count = max(1, math.ceil(fraction * len(ids)))
+            count = C.kept_count(fraction, len(ids))
             ranked = sorted(
                 ids,
                 key=lambda cid: (-float(np.linalg.norm(realization.gains[cid])), cid),
@@ -213,6 +213,17 @@ class TestSelectParticipants:
                 len(ids), fraction, None, channel=realization, mode=core.SELECT_CHANNEL
             )
             assert got == sorted(ranked[:count])
+
+    def test_product_an_ulp_above_an_integer_selects_that_many(self):
+        assert 0.07 * 100 > 7  # 7.000000000000001
+        out = core.select_participants(100, 0.07, lambda: np.random.default_rng(0))
+        assert len(out) == 7
+        gains = np.arange(1.0, 101.0)[:, None]
+        ranked = core.select_participants(
+            100, 0.07, None, channel=ch.ChannelRealization(gains, 0.0),
+            mode=core.SELECT_CHANNEL,
+        )
+        assert ranked == list(range(93, 100))
 
     def test_same_seed_same_subset(self):
         a = core.select_participants(10, 0.3, lambda: np.random.default_rng(5))

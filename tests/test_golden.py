@@ -12,24 +12,29 @@ A change that moves outputs on purpose rewrites the files with
 
 which rewrites the named cases (every case when none is named) and prints,
 per file, the values that moved and the final loss before and after. A
-change that must keep every output byte is checked against a checkout of
-its parent (such as a `git archive` of it) with
+change that must keep every output byte is checked against its parent with
 
-    PYTHONPATH=src python3 tests/test_golden.py --against DIR
+    PYTHONPATH=src python3 tests/test_golden.py --against REV
 
-which runs every case at seeds 7 and 11 with DIR/src and with this tree, at
-one BLAS thread, and prints the cells that differ at all.
+which runs every case at seeds 7 and 11 with the parent's src and with this
+tree, at one BLAS thread, and prints the cells that differ at all. REV is a
+directory that holds a checkout of the parent, or else a git revision such
+as HEAD~1, whose src is extracted (`git archive`) into a temporary directory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -197,10 +202,61 @@ def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> None:
                 print(f"  {line}")
 
 
+@contextmanager
+def revision_checkout(revision: str):
+    """A temporary directory that holds `src/` as committed at the git
+    revision, removed on exit."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
+
+
+def against_revision(where: str) -> None:
+    """`against` a checkout directory, or the git revision `where` names."""
+    if Path(where).is_dir():
+        against(Path(where))
+    else:
+        with revision_checkout(where) as checkout:
+            against(checkout)
+
+
 def test_against_a_checkout_lists_what_moved(monkeypatch, capsys):
     monkeypatch.setattr(sys.modules[__name__], "CASES", {"baseline": CASES["baseline"]})
     against(ROOT, seeds=(SEED,))
     assert capsys.readouterr().out == f"baseline seed {SEED}: 0 columns moved\n"
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(),
+    reason="needs git and the repository's history",
+)
+def test_against_a_revision_runs_its_committed_src(monkeypatch):
+    seen = []
+
+    def record(checkout):
+        files = sorted(p.relative_to(checkout).as_posix()
+                       for p in checkout.rglob("*") if p.is_file())
+        seen.append((checkout, {f: (checkout / f).read_bytes() for f in files}))
+
+    monkeypatch.setattr(sys.modules[__name__], "against", record)
+    against_revision("HEAD")
+    [(checkout, files)] = seen
+    committed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", "HEAD", "src"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert sorted(files) == committed and "src/airfed/channel.py" in files
+    for name in ("src/airfed/channel.py", "src/airfed/models.py"):
+        shown = subprocess.run(
+            ["git", "-C", str(ROOT), "show", f"HEAD:{name}"], capture_output=True, check=True
+        ).stdout
+        assert files[name] == shown
+    assert not checkout.exists()  # the temporary checkout is gone
 
 
 def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
@@ -218,12 +274,12 @@ def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
 if __name__ == "__main__":
     flag, *names = sys.argv[1:] or [""]
     if flag == "--against" and len(names) == 1:
-        against(Path(names[0]))
+        against_revision(names[0])
     elif flag == "--regen" and set(names) <= set(CASES):
         regen(names or sorted(CASES))
     else:
         sys.exit(
             "usage: PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]\n"
-            "       PYTHONPATH=src python3 tests/test_golden.py --against DIR\n"
+            "       PYTHONPATH=src python3 tests/test_golden.py --against DIR|REV\n"
             f"cases: {' '.join(sorted(CASES))}"
         )

@@ -327,7 +327,9 @@ class TestKernelsMatchOracles:
         start = w0.copy()
         got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
         want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
-        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # no defensive copy: the first step writes a new array, never w0
+        assert not np.shares_memory(got, w0)
         assert np.array_equal(w0, start)
 
 

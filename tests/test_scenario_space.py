@@ -10,6 +10,11 @@ and lets any other exception escape; no file drawn here diverges, so each
 must exit 0. About half of them send nothing (every participant misses the
 deadline, the threshold keeps no entry, or no round is on the schedule),
 and their summary reads `communication_gain = undefined`.
+
+Two metamorphic relations run on the same strategy: a file that writes the
+default text of some keys, where their `_RELEVANT_ONLY_WITH` rule lets them
+apply, writes the same output files as the file without them; and so does
+`period = 1` against no `period`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import csv
 import math
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from airfed import channel, cli, compression, core, models
@@ -96,18 +101,45 @@ SPACE = {
 }
 
 
-@st.composite
-def scenario_files(draw) -> str:
+def draw_texts(draw, defaulted=frozenset()) -> dict[str, str]:
+    """A text for every key of `_KEYS`: its default text for the keys in
+    `defaulted`, and a draw from `SPACE` for the others."""
     texts = {}
     for key in _KEYS:  # a KeyError here: a scenario key with no strategy
         space = SPACE[key]
-        texts[key] = draw(space(texts) if callable(space) else space)
+        if key in defaulted:
+            texts[key] = _KEYS[key][0]
+        else:
+            texts[key] = draw(space(texts) if callable(space) else space)
+    return texts
+
+
+def file_text(texts: dict[str, str], omitted=frozenset()) -> str:
+    """The file that writes each key of `texts` whose `_RELEVANT_ONLY_WITH`
+    rule holds for the texts' values, save the `omitted` keys."""
     values = {key: _KEYS[key][1](key, text) for key, text in texts.items()}
     return "".join(
         f"{key} = {text}\n"
         for key, text in texts.items()
-        if key not in _RELEVANT_ONLY_WITH or _RELEVANT_ONLY_WITH[key][1](values)
+        if key not in omitted
+        and (key not in _RELEVANT_ONLY_WITH or _RELEVANT_ONLY_WITH[key][1](values))
     )
+
+
+@st.composite
+def scenario_files(draw) -> str:
+    return file_text(draw_texts(draw))
+
+
+@st.composite
+def default_pairs(draw, keys=None) -> tuple[str, str]:
+    """A file that writes the default text of `keys` (drawn when None) where
+    they apply, and the same file without them. Omitted keys take their
+    defaults, so both files give each key the same value."""
+    if keys is None:
+        keys = draw(st.sets(st.sampled_from(list(_KEYS)), min_size=1))
+    texts = draw_texts(draw, keys)
+    return file_text(texts), file_text(texts, omitted=keys)
 
 
 def read_csv(path: Path) -> list[dict[str, str]]:
@@ -115,13 +147,23 @@ def read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def run(text: str, out: Path) -> dict[str, bytes]:
-    """The output files of `airfed run` on the text. `cli.main` turns an
-    AirfedError into exit 1, so any other exception escapes this call."""
+def outcome(text: str, out: Path) -> tuple[int, dict[str, bytes]]:
+    """The exit code of `airfed run` on the text and the output files it
+    wrote. `cli.main` turns an AirfedError into exit 1, so any other
+    exception escapes this call."""
     out.mkdir()
     (out / "s.cfg").write_text(text)
-    assert cli.main(["run", str(out / "s.cfg"), "--out", str(out), "--quiet"]) == 0
-    return {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+    code = cli.main(["run", str(out / "s.cfg"), "--out", str(out), "--quiet"])
+    return code, {
+        name: (out / name).read_bytes() for name in OUTPUT_FILES if (out / name).exists()
+    }
+
+
+def run(text: str, out: Path) -> dict[str, bytes]:
+    """The output files of a run on the text, which must exit 0."""
+    code, files = outcome(text, out)
+    assert code == 0 and files.keys() == set(OUTPUT_FILES)
+    return files
 
 
 def test_every_scenario_key_has_a_strategy():
@@ -178,3 +220,25 @@ def test_consistent_files_run_and_their_outputs_agree(tmp_path_factory, text):
     gain = summary["communication_gain"]
     assert (gain == "undefined") if uses == 0 else (float(gain) == base_uses / uses)
     assert math.isfinite(float(summary["final_loss"]))
+
+
+# A default is the value of an omitted key, so writing it changes nothing: not
+# the parse, not a draw, not a byte of output. Defaults make bigger runs (10
+# rounds, 10 features, 4 clients of 50 rows), and some make an invalid file
+# (`measurements = 0` with the compressed scheme), which must fail alike.
+@given(default_pairs())
+@settings(max_examples=150, deadline=None)
+def test_writing_a_default_changes_no_output(tmp_path_factory, pair):
+    with_defaults, without = pair
+    assume(with_defaults != without)  # some chosen key applies to the file
+    base = tmp_path_factory.mktemp("defaults")
+    assert outcome(with_defaults, base / "a") == outcome(without, base / "b")
+
+
+@given(default_pairs(keys={"period"}))
+@settings(max_examples=60, deadline=None)
+def test_period_one_is_no_period(tmp_path_factory, pair):
+    with_period, without = pair
+    assert "period = 1\n" in with_period and "period" not in without
+    base = tmp_path_factory.mktemp("period")
+    assert run(with_period, base / "a") == run(without, base / "b")
