@@ -8,6 +8,7 @@ n * (ceil(log2 d) + bits_per_symbol) + 64 header bits. A dense payload
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,14 +54,17 @@ class CompressedGradient:
 
     def decode(self, out: np.ndarray | None = None) -> np.ndarray:
         """The dense length-d vector, written into `out` when given: every
-        entry of `out` is set, the unsent ones to zero."""
-        if out is None:
-            out = np.zeros(self.d)
-        elif out.shape != (self.d,):
+        entry of `out` is set, the unsent ones to zero. The indices strictly
+        increase in [0, d), so d of them are 0..d-1 and the values are the
+        vector: a copy, not a scatter."""
+        out = np.empty(self.d) if out is None else out
+        if out.shape != (self.d,):
             raise ConfigurationError(f"decode target has shape {out.shape}, expected ({self.d},)")
+        if self.values.size == self.d:
+            out[:] = self.values
         else:
             out.fill(0.0)
-        out[self.indices] = self.values
+            out[self.indices] = self.values
         return out
 
 
@@ -132,6 +136,16 @@ def _payload_bits(d: int, n_kept: int, quantizer: str, implicit_indices: bool) -
     if implicit_indices:
         return d * sym + HEADER_BITS
     return n_kept * (index_bits(d) + sym) + HEADER_BITS
+
+
+@functools.cache
+def _every_index(d: int) -> np.ndarray:
+    """0..d-1, the indices of every dense payload of length d: one read-only
+    array for all of them, not a new one per upload. The cache holds one
+    array per vector length the process encodes."""
+    idx = np.arange(d)
+    idx.flags.writeable = False
+    return idx
 
 
 def kept_count(fraction: float, n: int) -> int:
@@ -237,7 +251,7 @@ def encode(
             rho = spec.warmup[min(epoch, len(spec.warmup) - 1)]
         idx = topk_indices(v, rho)
     else:
-        idx = np.arange(d)
+        idx = _every_index(d)
 
     # a copy either way: masking v below leaves it intact
     kept = v.copy() if spec.sparsifier == SPARSIFIER_NONE else v[idx]

@@ -211,7 +211,8 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch: Dataset) -> np.ndarray:
 
 
 def _gradient(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The gradient over rows X, y, whose dimensions the caller has checked."""
+    """The gradient over rows X, y, whose dimensions the caller has checked,
+    as a new array that the caller may overwrite."""
     n = X.shape[0]
     z, A = _forward(spec, w, X)
     if spec.kind == MLP:
@@ -241,15 +242,15 @@ def sgd_local_update(
     Batches are drawn without replacement per epoch, reshuffled per epoch
     from the supplied generator, so the trajectory is reproducible. A full
     batch draws nothing and steps on views of every row. w_start is never
-    written, so it may be a read-only array that many clients share: the
-    first step writes a new array, and later steps update that one in place.
+    written, so it may be a read-only array that many clients share: each
+    step writes its result into the step's own new gradient array.
     """
     w = np.asarray(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
     X, y = data.features, data.labels
     n = data.size
     rows, pos = slice(None), n  # pos = n: the first mini-batch step draws an order
-    for step in range(cfg.local_steps):
+    for _ in range(cfg.local_steps):
         if cfg.batch_size != "full":
             if pos >= n:
                 order, pos = rng.permutation(n), 0
@@ -257,11 +258,8 @@ def sgd_local_update(
         # gathered in the call, so a batch's copy is freed before the next
         # gather: holding it across a step doubled the step time at d = 2000
         g = _gradient(spec, w, X[rows], y[rows])
-        g *= cfg.step_size  # the gradient is a new array: scaled in place
-        if step:
-            w -= g
-        else:
-            w = w - g
+        g *= cfg.step_size
+        w = np.subtract(w, g, out=g)
     return w
 
 

@@ -925,13 +925,22 @@ class TestMetamorphic:
         assert ota.aggregation_error == pytest.approx(digital.aggregation_error, abs=1e-8)
 
 
+def scattered(payload):
+    """A payload decoded by scatter alone: zeros, then the values at the
+    indices, whether or not they cover every entry."""
+    dense = np.zeros(payload.d)
+    dense[payload.indices] = payload.values
+    return dense
+
+
 def transmit_reference(entries, scheme, r, plan, rng):
     """`ch.transmit_round`'s aggregate and error as written with a fresh
-    dense vector per entry, `e.dense`, stacked by np.asarray: decoding into
-    the round's row matrix must give the same bits."""
+    dense vector per entry, scattered, stacked by np.asarray: decoding into
+    the round's row matrix, a dense payload by a copy, must give the same
+    bits."""
     sizes = [e.size for e in entries]
     exact = ch.weighted_mean([e.raw for e in entries], sizes)
-    rows = np.asarray([e.dense for e in entries])
+    rows = np.asarray([scattered(e.payload) for e in entries])
     if scheme.kind == ch.IDEAL_DIGITAL:
         agg = ch.weighted_mean(rows, sizes)
     else:
@@ -996,6 +1005,7 @@ class TestTransmitRoundMatchesStackedReference:
         row = block[i]
         assert entries[i].payload.decode(out=row) is row
         assert_same_bits(block[i], entries[i].dense)
+        assert_same_bits(block[i], scattered(entries[i].payload))
         others = np.arange(len(entries)) != i
         assert_same_bits(block[others], before[others])
 

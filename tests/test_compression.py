@@ -233,6 +233,11 @@ class TestEncode:
         np.testing.assert_array_equal(c.decode(), g)
         assert c.payload_bits == 50 * 64 + C.HEADER_BITS
 
+    def test_dense_payloads_share_one_read_only_index_array(self):
+        a, b = (C.encode(np.ones(7) * s, C.CodecSpec()) for s in (1.0, 2.0))
+        assert a.indices is b.indices and not a.indices.flags.writeable
+        np.testing.assert_array_equal(a.indices, np.arange(7))
+
     def test_error_feedback_accumulates_constant_stream(self):
         d = 40
         g_star = np.random.default_rng(2).standard_normal(d)

@@ -211,8 +211,10 @@ def revision_checkout(revision: str):
         capture_output=True, check=True,
     ).stdout
     with tempfile.TemporaryDirectory() as tmp:
+        # extraction filters exist from Python 3.12, 3.11.4 and 3.10.12 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+            tar.extractall(tmp, **safe)
         yield Path(tmp)
 
 
