@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ MODEL_KINDS = (LINEAR, LOGISTIC, MLP)
 
 @dataclass
 class Dataset:
-    """Feature matrix plus aligned labels for one client."""
+    """Feature matrix plus aligned labels for one client. The dataset makes
+    its arrays read-only (those it is given, when they are float64 already),
+    so what it caches from its rows, such as `gram`, stays valid."""
 
     features: np.ndarray  # (n, p)
     labels: np.ndarray  # (n,)
@@ -37,6 +40,8 @@ class Dataset:
             raise ConfigurationError("labels must align with feature rows")
         if self.size < 1:
             raise ConfigurationError("dataset must contain at least one sample")
+        self.features.flags.writeable = False
+        self.labels.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -45,6 +50,14 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """K = X·Xᵀ, the (n, n) inner products of the rows, computed on
+        first use and kept, read-only."""
+        K = self.features @ self.features.T
+        K.flags.writeable = False
+        return K
 
     def split(self, sizes: list[int]) -> list["Dataset"]:
         """Consecutive row blocks of the given sizes, as views of this data."""
@@ -244,11 +257,19 @@ def sgd_local_update(
     batch draws nothing and steps on views of every row. w_start is never
     written, so it may be a read-only array that many clients share: each
     step writes its result into the step's own new gradient array.
+
+    A linear or logistic model with n <= p rows, whose two or more steps
+    touch every row (a full batch, or n <= local_steps · batch), steps in
+    the sample domain instead (`_sample_domain_sgd`): the same batches,
+    and the same iterates up to rounding.
     """
     w = np.asarray(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
     X, y = data.features, data.labels
     n = data.size
+    every_row = cfg.batch_size == "full" or n <= cfg.local_steps * cfg.batch_size
+    if spec.kind != MLP and cfg.local_steps >= 2 and n <= spec.n_features and every_row:
+        return _sample_domain_sgd(spec, w, data, cfg, rng)
     rows, pos = slice(None), n  # pos = n: the first mini-batch step draws an order
     for _ in range(cfg.local_steps):
         if cfg.batch_size != "full":
@@ -261,6 +282,42 @@ def sgd_local_update(
         g *= cfg.step_size
         w = np.subtract(w, g, out=g)
     return w
+
+
+def _sample_domain_sgd(
+    spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: TrainConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """sgd_local_update of a linear or logistic model in the n-dimensional
+    sample domain, the representer form of SDCA (Shalev-Shwartz & Zhang,
+    2013). The step w ← decay·w − X_Bᵀr, with decay = 1 − μ·l2 and
+    r = μ·(link(X_B·w) − y_B)/|B|, keeps w = s·w₀ − Xᵀα with α ← decay·α,
+    α_B += r and s ← decay·s, and the predictions z = X·w of every row with
+    z ← decay·z − K_Bᵀr, K = X·Xᵀ. A call reads the rows twice (z = X·w₀,
+    then Xᵀα), and a step reads |B| × n entries of K, not |B| × p of X."""
+    X, y = data.features, data.labels
+    n, mu = data.size, cfg.step_size
+    decay = 1.0 - mu * spec.l2
+    K = data.gram
+    z = X @ w
+    alpha = np.zeros(n)
+    s = 1.0
+    rows, pos = slice(None), n
+    for step in range(cfg.local_steps):
+        if cfg.batch_size != "full":
+            if pos >= n:
+                order, pos = rng.permutation(n), 0
+            rows, pos = order[pos : pos + cfg.batch_size], pos + cfg.batch_size
+        zb = z[rows]
+        r = (_sigmoid(zb) if spec.kind == LOGISTIC else zb) - y[rows]
+        r *= mu / len(r)
+        alpha *= decay
+        alpha[rows] += r
+        s *= decay
+        if step < cfg.local_steps - 1:
+            z *= decay
+            z -= r @ K[rows]
+    v = alpha @ X
+    return np.subtract(s * w, v, out=v)
 
 
 @dataclass
@@ -296,16 +353,15 @@ def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
     p = partition.n_features
     w_star = rng.standard_normal(p)
     n_rows = sum(partition.sizes)
-    population = Dataset(np.empty((n_rows, p)), np.empty(n_rows))
-    for client in population.split(partition.sizes):
+    X, y = np.empty((n_rows, p)), np.empty(n_rows)
+    ends = np.cumsum(partition.sizes)[:-1]
+    for rows, labels in zip(np.split(X, ends), np.split(y, ends)):
         shift = partition.skew * rng.standard_normal(p)
-        rng.standard_normal(out=client.features)
-        client.features += shift
-        z = client.features @ w_star
+        rng.standard_normal(out=rows)
+        rows += shift
+        z = rows @ w_star
         if partition.label_kind == "binary":
-            client.labels[:] = rng.random(client.size) < _sigmoid(z)
+            labels[:] = rng.random(len(labels)) < _sigmoid(z)
         else:
-            client.labels[:] = z + partition.noise_std * rng.standard_normal(client.size)
-    population.features.flags.writeable = False
-    population.labels.flags.writeable = False
-    return population
+            labels[:] = z + partition.noise_std * rng.standard_normal(len(labels))
+    return Dataset(X, y)

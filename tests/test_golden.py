@@ -17,7 +17,9 @@ change that must keep every output byte is checked against its parent with
     PYTHONPATH=src python3 tests/test_golden.py --against REV
 
 which runs every case at seeds 7 and 11 with the parent's src and with this
-tree, at one BLAS thread, and prints the cells that differ at all. REV is a
+tree, at one BLAS thread, and prints the cells that differ at all: per
+moved column the number of moved cells, the first one, and for a float
+column the largest relative change. REV is a
 directory that holds a checkout of the parent, or else a git revision such
 as HEAD~1, whose src is extracted (`git archive`) into a temporary directory.
 """
@@ -80,16 +82,27 @@ def outputs(path: Path, seed: int = SEED) -> dict:
     return out
 
 
-def _same(file: str, column: str, want: str, got: str, rtol: float) -> bool:
-    if (file, column) not in FLOAT_CELLS or want == got:
-        return want == got
+def relative_change(want: str, got: str) -> float:
+    """|got − want| / |want| of two float cells as written: 0 when the text
+    is equal, inf when it is not and either value is 0 or non-finite."""
+    if want == got:
+        return 0.0
     a, b = float(want), float(got)
-    return math.isfinite(a) and abs(b - a) <= rtol * abs(a)
+    if a == 0 or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def _same(file: str, column: str, want: str, got: str, rtol: float) -> bool:
+    if (file, column) not in FLOAT_CELLS:
+        return want == got
+    return relative_change(want, got) <= rtol
 
 
 def moved(want: dict, got: dict, rtol: float = RTOL) -> list[str]:
     """One line per golden column whose cells differ beyond `rtol`
-    (exactly, for integer and text columns), naming the first row."""
+    (exactly, for integer and text columns), naming the first row; a float
+    column's line also gives its largest relative change."""
     lines = []
     for file, columns in want.items():
         for column, cells in columns.items():
@@ -105,10 +118,14 @@ def moved(want: dict, got: dict, rtol: float = RTOL) -> list[str]:
                 ]
                 if rows:
                     i = rows[0]
-                    lines.append(
+                    line = (
                         f"{file}:{column} differs in {len(rows)} of {len(cells)} rows, "
                         f"first row {i}: {cells[i]!r} -> {new[i]!r}"
                     )
+                    if (file, column) in FLOAT_CELLS:
+                        largest = max(map(relative_change, cells, new))
+                        line += f", largest relative change {largest:.2g}"
+                    lines.append(line)
     return lines
 
 
@@ -164,6 +181,30 @@ def test_moved_names_a_changed_cell():
     assert moved(want, {"rounds.csv": {"participants": ["0;1", "1"]}}) == [
         "rounds.csv:global_loss is missing"
     ]
+
+
+def test_relative_change_of_float_cells():
+    assert relative_change("0.5", "0.5") == relative_change("nan", "nan") == 0.0
+    assert relative_change("2.0", "2.0000000000000004") == 2.0**-52
+    assert relative_change("-4.0", "-3.0") == 0.25
+    for want, got in (("0.0", "1e-300"), ("1.0", "inf"), ("nan", "1.0"), ("1.0", "nan")):
+        assert relative_change(want, got) == math.inf
+
+
+def test_moved_gives_the_count_and_largest_change_of_a_float_column():
+    want = {"rounds.csv": {"global_loss": ["1.0", "2.0", "4.0"], "round": ["1", "2", "3"]},
+            "summary.txt": {"final_loss": ["4.0"]}}
+    got = {"rounds.csv": {"global_loss": ["1.0", "2.0000000000000004", "4.000000000000004"],
+                          "round": ["1", "2", "4"]},
+           "summary.txt": {"final_loss": ["4.000000000000004"]}}
+    assert moved(want, got, rtol=0.0) == [
+        "rounds.csv:global_loss differs in 2 of 3 rows, first row 1: "
+        "'2.0' -> '2.0000000000000004', largest relative change 1.1e-15",
+        "rounds.csv:round differs in 1 of 3 rows, first row 2: '3' -> '4'",
+        "summary.txt:final_loss differs in 1 of 1 rows, first row 0: "
+        "'4.0' -> '4.000000000000004', largest relative change 1.1e-15",
+    ]
+    assert moved(want, got) == ["rounds.csv:round differs in 1 of 3 rows, first row 2: '3' -> '4'"]
 
 
 def regen(names: list[str]) -> None:

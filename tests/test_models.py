@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from airfed import models
+from airfed import cli, core, models
 from airfed.errors import ConfigurationError
+from airfed.scenario import load_scenario
 
 
 def finite_difference_gradient(spec, w, batch, h=1e-6):
@@ -218,6 +221,78 @@ class TestSgdLocalUpdate:
         w_ref = w_ref - 0.05 * models.gradient(spec, w_ref, data)
         np.testing.assert_allclose(w, w_ref, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind, n, p, batch, steps, sample_domain",
+        [
+            pytest.param(models.MLP, 8, 20, "full", 5, False, id="mlp"),
+            pytest.param(models.LOGISTIC, 8, 20, "full", 1, False, id="one-step"),
+            pytest.param(models.LINEAR, 21, 20, "full", 5, False, id="n-above-p"),
+            pytest.param(models.LOGISTIC, 64, 2000, 16, 3, False, id="short-call"),
+            pytest.param(models.LINEAR, 20, 20, "full", 2, True, id="full-batch"),
+            pytest.param(models.LOGISTIC, 64, 2000, 16, 5, True, id="digital-dgc"),
+        ],
+    )
+    def test_form_by_shape(self, monkeypatch, kind, n, p, batch, steps, sample_domain):
+        calls = []
+        sample = models._sample_domain_sgd
+        monkeypatch.setattr(
+            models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a)
+        )
+        spec, data = random_spec_and_data(kind, np.random.default_rng(3), n=n, p=p)
+        w0 = models.initial_params(spec, np.random.default_rng(4))
+        cfg = models.TrainConfig(step_size=0.01, batch_size=batch, local_steps=steps)
+        models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(5))
+        assert len(calls) == sample_domain
+        # only the sample domain builds the Gram matrix
+        assert ("gram" in vars(data)) == sample_domain
+
+    def test_gram_is_the_rows_inner_products_computed_once(self, monkeypatch):
+        spec, data = random_spec_and_data(models.LINEAR, np.random.default_rng(8), n=6, p=9)
+        built = []
+        prop = models.Dataset.__dict__["gram"]
+        monkeypatch.setattr(prop, "func", lambda ds, f=prop.func: built.append(ds) or f(ds))
+        cfg = models.TrainConfig(step_size=0.1, local_steps=3)
+        for seed in range(3):
+            models.sgd_local_update(spec, np.zeros(9), data, cfg, np.random.default_rng(seed))
+        assert built == [data]
+        X = data.features
+        np.testing.assert_allclose(data.gram, X @ X.T, rtol=1e-14)
+        with pytest.raises(ValueError):
+            data.gram[0, 0] = 1.0
+
+    def test_dataset_arrays_are_read_only(self):
+        X, y = np.ones((3, 2)), np.zeros(3)
+        data = models.Dataset(X, y)
+        for arr in (data.features, data.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # float64 arrays are taken over, not copied
+        assert data.features is X and data.labels is y
+        copied = models.Dataset([[1, 2]], [0])
+        with pytest.raises(ValueError):
+            copied.features[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "name, trains",
+        [("digital-dgc", True), ("ota-crowd", False), ("cs-recovery", False)],
+    )
+    def test_each_training_client_builds_its_gram_once_per_run(self, monkeypatch, name, trains):
+        built, trained = [], set()
+        prop = models.Dataset.__dict__["gram"]
+        monkeypatch.setattr(prop, "func", lambda ds, f=prop.func: built.append(id(ds)) or f(ds))
+        update = models.sgd_local_update
+        monkeypatch.setattr(
+            models,
+            "sgd_local_update",
+            lambda spec, w, data, *a: trained.add(id(data)) or update(spec, w, data, *a),
+        )
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / f"{name}.cfg"
+        scenario = dataclasses.replace(load_scenario(path, seed=7), rounds=40)
+        core.run_training(scenario)
+        assert len(built) == len(set(built))
+        assert set(built) == (trained if trains else set())
+        assert len(trained) > 1
+
     def test_minibatch_deterministic_per_rng_seed(self):
         rng_data = np.random.default_rng(7)
         spec, data = random_spec_and_data(models.LINEAR, rng_data, n=16, p=3)
@@ -226,6 +301,31 @@ class TestSgdLocalUpdate:
         w1 = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(42))
         w2 = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(w1, w2)
+
+    def test_divergence_in_the_sample_domain_stops_in_the_per_step_round(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 20 rows of 40 features and three full-batch steps: the sample
+        # domain; at this step size the loss first overflows in round 32.
+        # A RuntimeWarning fails the suite, so neither form raises one
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
+            "client_size = 20\nlocal_steps = 3\nmu = 10\n"
+        )
+        calls = []
+        sample = models._sample_domain_sgd
+        monkeypatch.setattr(
+            models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a)
+        )
+        errors = []
+        for step in (models.sgd_local_update, per_step_dataset_sgd):
+            monkeypatch.setattr(models, "sgd_local_update", step)
+            assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert len(calls) == 4 * 32
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: training diverged in round 32:")
 
 
 class TestInitialParams:
@@ -326,11 +426,43 @@ class TestKernelsMatchOracles:
         w0.flags.writeable = False
         start = w0.copy()
         got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
-        want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         # no defensive copy: the first step writes a new array, never w0
         assert not np.shares_memory(got, w0)
         assert np.array_equal(w0, start)
+        # draws that step in the sample domain (they build the Gram matrix)
+        # are checked within the golden tolerance by the test below
+        assume("gram" not in vars(data))
+        want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [models.LINEAR, models.LOGISTIC])
+    @given(
+        steps=st.integers(2, 12),
+        batch=st.one_of(st.just("full"), st.integers(1, 30)),
+        l2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        draw=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sample_domain_sgd_within_golden_rtol_of_per_step_loop(
+        self, kind, steps, batch, l2, seed, draw
+    ):
+        # every draw has n <= p rows and steps that touch every row: full
+        # batch, mini-batches with a short last one, or one larger than n.
+        # The worst max|got - want| / max|want| over 4,000 random draws was
+        # 1.1e-14, at n = p = 1
+        n = draw.draw(st.integers(1, 24 if batch == "full" else min(steps * batch, 24)))
+        p = draw.draw(st.integers(n, n + 8))
+        rng = np.random.default_rng(seed)
+        spec, data = random_spec_and_data(kind, rng, n=n, p=p, l2=l2)
+        w0 = 0.5 * rng.standard_normal(spec.dim)
+        w0.flags.writeable = False
+        cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
+        got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
+        assert "gram" in vars(data)
+        want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and not np.shares_memory(got, w0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def per_client_synthetic(partition, seed):
