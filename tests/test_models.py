@@ -192,6 +192,24 @@ class TestGradient:
             assert np.linalg.norm(g - g_fd) / denom < 1e-5
 
 
+@pytest.fixture
+def sample_domain_calls(monkeypatch):
+    """The arguments of every call of local SGD's sample-domain form."""
+    calls = []
+    sample = models._sample_domain_sgd
+    monkeypatch.setattr(models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a))
+    return calls
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """Every dataset whose Gram matrix is computed, once per computation."""
+    built = []
+    prop = models.Dataset.__dict__["gram"]
+    monkeypatch.setattr(prop, "func", lambda ds, f=prop.func: built.append(ds) or f(ds))
+    return built
+
+
 class TestSgdLocalUpdate:
     def test_single_explicit_step(self):
         # one full-batch step: w <- w - mu * g; pick data with known gradient
@@ -232,29 +250,21 @@ class TestSgdLocalUpdate:
             pytest.param(models.LOGISTIC, 64, 2000, 16, 5, True, id="digital-dgc"),
         ],
     )
-    def test_form_by_shape(self, monkeypatch, kind, n, p, batch, steps, sample_domain):
-        calls = []
-        sample = models._sample_domain_sgd
-        monkeypatch.setattr(
-            models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a)
-        )
+    def test_form_by_shape(self, sample_domain_calls, kind, n, p, batch, steps, sample_domain):
         spec, data = random_spec_and_data(kind, np.random.default_rng(3), n=n, p=p)
         w0 = models.initial_params(spec, np.random.default_rng(4))
         cfg = models.TrainConfig(step_size=0.01, batch_size=batch, local_steps=steps)
         models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(5))
-        assert len(calls) == sample_domain
+        assert len(sample_domain_calls) == sample_domain
         # only the sample domain builds the Gram matrix
         assert ("gram" in vars(data)) == sample_domain
 
-    def test_gram_is_the_rows_inner_products_computed_once(self, monkeypatch):
+    def test_gram_is_the_rows_inner_products_computed_once(self, gram_builds):
         spec, data = random_spec_and_data(models.LINEAR, np.random.default_rng(8), n=6, p=9)
-        built = []
-        prop = models.Dataset.__dict__["gram"]
-        monkeypatch.setattr(prop, "func", lambda ds, f=prop.func: built.append(ds) or f(ds))
         cfg = models.TrainConfig(step_size=0.1, local_steps=3)
         for seed in range(3):
             models.sgd_local_update(spec, np.zeros(9), data, cfg, np.random.default_rng(seed))
-        assert built == [data]
+        assert gram_builds == [data]
         X = data.features
         np.testing.assert_allclose(data.gram, X @ X.T, rtol=1e-14)
         with pytest.raises(ValueError):
@@ -276,10 +286,10 @@ class TestSgdLocalUpdate:
         "name, trains",
         [("digital-dgc", True), ("ota-crowd", False), ("cs-recovery", False)],
     )
-    def test_each_training_client_builds_its_gram_once_per_run(self, monkeypatch, name, trains):
-        built, trained = [], set()
-        prop = models.Dataset.__dict__["gram"]
-        monkeypatch.setattr(prop, "func", lambda ds, f=prop.func: built.append(id(ds)) or f(ds))
+    def test_each_training_client_builds_its_gram_once_per_run(
+        self, monkeypatch, gram_builds, name, trains
+    ):
+        trained = set()
         update = models.sgd_local_update
         monkeypatch.setattr(
             models,
@@ -289,6 +299,7 @@ class TestSgdLocalUpdate:
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / f"{name}.cfg"
         scenario = dataclasses.replace(load_scenario(path, seed=7), rounds=40)
         core.run_training(scenario)
+        built = [id(ds) for ds in gram_builds]
         assert len(built) == len(set(built))
         assert set(built) == (trained if trains else set())
         assert len(trained) > 1
@@ -303,7 +314,7 @@ class TestSgdLocalUpdate:
         np.testing.assert_array_equal(w1, w2)
 
     def test_divergence_in_the_sample_domain_stops_in_the_per_step_round(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, sample_domain_calls
     ):
         # 20 rows of 40 features and three full-batch steps: the sample
         # domain; at this step size the loss first overflows in round 32.
@@ -313,17 +324,13 @@ class TestSgdLocalUpdate:
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
             "client_size = 20\nlocal_steps = 3\nmu = 10\n"
         )
-        calls = []
-        sample = models._sample_domain_sgd
-        monkeypatch.setattr(
-            models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a)
-        )
         errors = []
         for step in (models.sgd_local_update, per_step_dataset_sgd):
             monkeypatch.setattr(models, "sgd_local_update", step)
             assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
             errors.append(capsys.readouterr().err)
-        assert len(calls) == 4 * 32
+        # four clients train in each of the 32 rounds, in the sample domain
+        assert len(sample_domain_calls) == 4 * 32
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: training diverged in round 32:")
 
