@@ -161,14 +161,16 @@ def outputs_at_blas_threads(
 def test_reruns_match_across_blas_thread_counts():
     # the block loss product X W^T sums in an order that depends on the
     # BLAS thread count, so reruns are byte-identical only at a fixed count;
-    # every cell but the loss cells is identical at any count
-    one, two = (outputs_at_blas_threads("cs-recovery", n) for n in (1, 2))
-    assert moved(one, two) == []
+    # every cell but the loss cells is identical at 1 and 2 threads, also
+    # where local SGD steps with the Gram matrix X X^T (digital-dgc)
     loss = {("rounds.csv", "global_loss"), ("summary.txt", "final_loss")}
-    for file, columns in one.items():
-        for column, cells in columns.items():
-            if (file, column) not in loss:
-                assert two[file][column] == cells, f"{file}:{column}"
+    for name in ("cs-recovery", "digital-dgc"):
+        one, two = (outputs_at_blas_threads(name, n) for n in (1, 2))
+        assert moved(one, two) == []
+        for file, columns in one.items():
+            for column, cells in columns.items():
+                if (file, column) not in loss:
+                    assert two[file][column] == cells, f"{name} {file}:{column}"
 
 
 def test_moved_names_a_changed_cell():
