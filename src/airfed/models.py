@@ -24,10 +24,11 @@ MODEL_KINDS = (LINEAR, LOGISTIC, MLP)
 
 @dataclass
 class Dataset:
-    """Feature matrix plus aligned labels for one client. The dataset holds
-    read-only arrays, so what it caches from its rows, such as `gram`, stays
-    valid: a float64 array it is given is taken over when it owns its memory
-    or views a read-only array, and copied when it views a writable one."""
+    """Feature matrix plus aligned labels: one client's rows, or the pooled
+    population that `make_synthetic` returns. The dataset holds read-only
+    arrays, so what it caches from its rows, such as `gram`, stays valid: a
+    float64 array it is given is taken over when it owns its memory or views
+    a read-only array, and copied when it views a writable one."""
 
     features: np.ndarray  # (n, p)
     labels: np.ndarray  # (n,)

@@ -242,6 +242,8 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         raise _invalid("measurements", "must be < model dimension (no compression achieved)")
     scheme = _build("transport", ch_mod.TransportScheme, v["scheme"], m or None)
 
+    if v["period"] > v["rounds"]:
+        raise _invalid("period", "must be <= rounds, or no round aggregates")
     round_cfg = _build(
         "round",
         core.RoundConfig,

@@ -40,7 +40,7 @@ def test_criterion_1_federation_equals_centralized():
     streams = core.RngStreams(sc.seed)
     clients = [
         core.ClientState(
-            k, d, np.zeros(spec.dim), C.EncoderState.zeros(spec.dim), streams.client(k)
+            d, np.zeros(spec.dim), C.EncoderState.zeros(spec.dim), streams.client(k)
         )
         for k, d in enumerate(datasets)
     ]
@@ -48,7 +48,7 @@ def test_criterion_1_federation_equals_centralized():
     w_cent = np.zeros(spec.dim)
     max_dev = 0.0
     for _ in range(100):
-        core.run_round(server, clients, union, spec, sc.train_cfg, sc.round_cfg, streams)
+        core.run_round(server, clients, spec, sc.train_cfg, sc.round_cfg, streams)
         w_cent = w_cent - mu * models.gradient(spec, w_cent, union)
         max_dev = max(max_dev, float(np.max(np.abs(server.params - w_cent))))
     elapsed = time.time() - start

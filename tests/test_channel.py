@@ -1092,6 +1092,12 @@ ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
             "decode target has shape (2,), expected (3,)",
             id="payload-lengths-differ",
         ),
+        pytest.param(
+            lambda: ch.weighted_mean([np.ones(2), np.ones(3)], [1, 1]),
+            ConfigurationError,
+            "vector lengths differ",
+            id="vector-lengths-differ",
+        ),
     ],
 )
 def test_invalid_input_raises_its_message(call, error, message):

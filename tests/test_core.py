@@ -33,18 +33,13 @@ def one_round(spec, datasets, w, mu):
     """Server parameters after one full-participation round of run_round from w."""
     streams = core.RngStreams(0)
     clients = [
-        core.ClientState(k, d, w.copy(), C.EncoderState.zeros(spec.dim), streams.client(k))
+        core.ClientState(d, w.copy(), C.EncoderState.zeros(spec.dim), streams.client(k))
         for k, d in enumerate(datasets)
     ]
-    population = models.Dataset(
-        np.vstack([d.features for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
-    )
     server = core.ServerState(w.copy())
     core.run_round(
         server,
         clients,
-        population,
         spec,
         models.TrainConfig(step_size=mu, local_steps=1),
         core.RoundConfig(),
@@ -153,25 +148,6 @@ class TestAggregateGradients:
             rtol=0,
             atol=1e-12,
         )
-
-
-    def test_population_must_hold_every_client_row(self):
-        spec = models.ModelSpec(models.LINEAR, 2)
-        data = models.Dataset(np.ones((3, 2)), np.zeros(3))
-        streams = core.RngStreams(0)
-        clients = [
-            core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(0))
-        ]
-        with pytest.raises(ConfigurationError, match="population has 2 rows"):
-            core.run_round(
-                core.ServerState(np.zeros(2)),
-                clients,
-                models.Dataset(data.features[:2], data.labels[:2]),
-                spec,
-                models.TrainConfig(step_size=0.1),
-                core.RoundConfig(),
-                streams,
-            )
 
 
 class TestSelectParticipants:
@@ -307,13 +283,13 @@ def traced_rounds(text):
 
     def snapshot(clients):
         return {
-            c.id: (
+            k: (
                 c.encoder.momentum.tobytes(),
                 c.encoder.residual.tobytes(),
                 c.rng.bit_generator.state,
                 c.local_params.copy(),
             )
-            for c in clients
+            for k, c in enumerate(clients)
         }
 
     def spy_sgd(spec, w, data, *args):
@@ -324,15 +300,15 @@ def traced_rounds(text):
         current["encoded"].append(current["by_encoder"][id(state)])
         return encode(raw, codec, state, **kwargs)
 
-    def spy_round(server, clients, population, spec, train_cfg, cfg, streams):
+    def spy_round(server, clients, spec, train_cfg, cfg, streams):
         current.update(
-            by_data={id(c.dataset): c.id for c in clients},
-            by_encoder={id(c.encoder): c.id for c in clients},
+            by_data={id(c.dataset): k for k, c in enumerate(clients)},
+            by_encoder={id(c.encoder): k for k, c in enumerate(clients)},
             trained=[],
             encoded=[],
         )
         before = snapshot(clients)
-        rec = run_round(server, clients, population, spec, train_cfg, cfg, streams)
+        rec = run_round(server, clients, spec, train_cfg, cfg, streams)
         rounds.append(
             dict(
                 rec=rec,
@@ -516,11 +492,10 @@ class TestRunTraining:
         spec = models.ModelSpec(models.LINEAR, 2)
         data = models.Dataset(np.ones((3, 2)), np.zeros(3))
         streams = core.RngStreams(0)
-        client = core.ClientState(0, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(0))
+        client = core.ClientState(data, np.zeros(2), C.EncoderState.zeros(2), streams.client(0))
         rec = core.run_round(
             core.ServerState(np.zeros(2)),
             [client],
-            data,
             spec,
             models.TrainConfig(step_size=0.1),
             core.RoundConfig(),
@@ -559,25 +534,6 @@ class TestRunTraining:
                 assert all(held) and not writeable
             else:
                 assert not any(held)
-
-    def test_client_ids_must_be_positions(self):
-        spec = models.ModelSpec(models.LINEAR, 2)
-        data = models.Dataset(np.ones((3, 2)), np.zeros(3))
-        streams = core.RngStreams(0)
-        clients = [
-            core.ClientState(k, data, np.zeros(2), C.EncoderState.zeros(2), streams.client(k))
-            for k in (1, 0)
-        ]
-        with pytest.raises(ConfigurationError, match="client k must have id k"):
-            core.run_round(
-                core.ServerState(np.zeros(2)),
-                clients,
-                models.Dataset(np.ones((6, 2)), np.zeros(6)),
-                spec,
-                models.TrainConfig(step_size=0.1),
-                core.RoundConfig(),
-                streams,
-            )
 
     def test_deadline_miss_holds_server_params(self):
         text = (

@@ -153,6 +153,7 @@ class TestParseScenario:
             ("sparsifier = topk\nwarmup = 0.5,2", "warmup fractions must be in"),
             ("clients = 2\nsizes = 3,0", "`sizes`: every size must be >= 1"),
             ("scheme = cs-over-the-air", "`measurements`: required for cs-over-the-air"),
+            ("rounds = 3\nperiod = 5", "`period`: must be <= rounds"),
         ],
     )
     def test_invalid_setting_names_its_key(self, text, message):
@@ -351,6 +352,18 @@ class TestRunCommand:
         assert all(math.isfinite(x) for x in losses)
         assert (out / "events.csv").read_text().splitlines() == ["round,kind,detail"]
         assert not (out / "summary.txt").exists()
+
+    def test_overflowing_guard_norm_prints_only_the_error(self, tmp_path, capsys):
+        # the parameters pass 1e154, where the norm of the overflow guard
+        # itself overflows, before the loss overflows in round 40
+        f = tmp_path / "s.cfg"
+        f.write_text(
+            "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
+            "client_size = 20\nlocal_steps = 3\nmu = 5\n"
+        )
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: training diverged in round 40:")
 
     def test_overflow_in_round_one_stops_at_the_round_check(
         self, tmp_path, capsys, monkeypatch
