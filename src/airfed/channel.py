@@ -33,7 +33,7 @@ GRAM_FLOOR = 64 * np.finfo(np.float64).eps
 @dataclass
 class ChannelRealization:
     gains: np.ndarray  # (K, N), row k = h_k
-    noise_std: float
+    noise_std: float  # >= 0, as `RoundConfig` ensures
     seed: int = 0
 
     def __post_init__(self):
@@ -42,8 +42,6 @@ class ChannelRealization:
             raise ConfigurationError("gains must be a (K, N) matrix")
         if not np.all(np.isfinite(self.gains)):
             raise ConfigurationError("channel gains must be finite")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
 
     @property
     def n_antennas(self) -> int:
@@ -82,9 +80,8 @@ class TransportScheme:
 def sample_channel(
     n_clients: int, n_antennas: int, noise_std: float, seed: int
 ) -> ChannelRealization:
-    """Block-fading realization: i.i.d. standard normal gains from the seed."""
-    if n_clients < 1 or n_antennas < 1:
-        raise ConfigurationError("n_clients and n_antennas must be >= 1")
+    """Block-fading realization: i.i.d. standard normal gains from the seed.
+    Both counts are >= 1, as `PartitionSpec` and `RoundConfig` ensure."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gains = rng.standard_normal((n_clients, n_antennas))
     return ChannelRealization(gains, noise_std, seed)
@@ -105,10 +102,8 @@ def solve_aggregation_weights(
     are linearly dependent), otherwise take the principal channel direction
     (top eigenvector of H^T H); derive powers, drop every client whose gain
     m^T h_k on the beam is <= GAIN_EPS (negative gains included) or whose
-    squared amplitude (c_k / gain)^2 exceeds the cap, and repeat.
-    """
-    if power_cap <= 0:
-        raise ConfigurationError("power cap must be > 0")
+    squared amplitude (c_k / gain)^2 exceeds the cap, and repeat. The cap is
+    > 0, as `RoundConfig` ensures."""
     ids = np.array(sorted(targets), dtype=np.intp)
     shares = np.array([targets[cid] for cid in ids.tolist()])
     if not np.all((shares >= 0) & (shares < np.inf)):
@@ -340,11 +335,11 @@ def transmit_round(
 ) -> TransmitResult:
     """Deliver one round of uplink payloads and aggregate at the server:
     one coefficient vector times the decoded payload rows, the size shares
-    on digital links and the gains m^T h_k sqrt(p_k) over the air.
-
-    A digital payload occupies one channel use per transmitted entry. An
-    analog round needs the channel, its plan and its entries in the order
-    of `plan.transmitters`; a noisy one also needs the noise generator."""
+    on digital links and the gains m^T h_k sqrt(p_k) over the air. A digital
+    payload occupies one channel use per transmitted entry. An analog round
+    needs the channel, its plan and its entries in the order of
+    `plan.transmitters`, a noisy one also the noise generator; a compressed
+    one has measurements < d, as `parse_scenario` ensures."""
     if not entries:
         raise SchemeError("no payloads to transmit")
     sizes = [e.size for e in entries]
@@ -359,8 +354,6 @@ def transmit_round(
     if scheme.analog and [e.client_id for e in entries] != plan.transmitters:
         # coefficients are taken by position: any other order mis-weights
         raise ConfigurationError("entries must follow plan.transmitters, in order")
-    if scheme.kind == CS_OVER_THE_AIR and scheme.measurements >= rows.shape[1]:
-        raise ConfigurationError("measurements must be < d (no compression achieved)")
 
     if scheme.kind == IDEAL_DIGITAL:
         agg = weighted_mean(rows, sizes)

@@ -159,13 +159,11 @@ def kept_count(fraction: float, n: int) -> int:
 
 
 def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
-    """Indices of the k = kept_count(rho, d) largest-|g| entries, ties to
-    the lower index, returned sorted ascending. NaN ranks below every number.
-
-    Linear time: a partition finds the k-th key, every entry strictly above
-    it is kept, and the lowest-index entries equal to it fill the rest."""
-    if not (0 < rho <= 1):
-        raise ConfigurationError("keep fraction must be in (0, 1]")
+    """Indices of the k = kept_count(rho, d) largest-|g| entries, rho in (0, 1]
+    as `CodecSpec` and `RoundConfig` ensure, ties to the lower index, sorted
+    ascending. NaN ranks below every number. Linear time: a partition finds the
+    k-th key, every entry strictly above it is kept, and the lowest-index
+    entries equal to it fill the rest."""
     d = g.size
     k = kept_count(rho, d)
     key = -np.abs(g)  # ascending key; np.partition puts NaN last

@@ -92,13 +92,11 @@ def select_participants(
     channel: ch_mod.ChannelRealization | None = None,
     mode: str = SELECT_RANDOM,
 ) -> list[int]:
-    """Choose `compression.kept_count(fraction, K)` of the clients 0..K-1,
-    in ascending order; channel-aware mode ranks client k by the norm of row
-    k of the channel, descending, with ties to the lower id. Random mode
-    builds its generator from `rng_factory` only when it leaves a client
-    out, so full participation may pass None."""
-    if not (0 < fraction <= 1):
-        raise ConfigurationError("fraction must be in (0, 1]")
+    """Choose `compression.kept_count(fraction, K)` of the clients 0..K-1 in
+    ascending order, fraction in (0, 1] as `RoundConfig` ensures; channel-aware
+    mode ranks client k by the norm of row k of the channel, descending, ties
+    to the lower id. Random mode builds its generator from `rng_factory` only
+    when it leaves a client out, so full participation may pass None."""
     if mode == SELECT_CHANNEL:
         if channel is None:
             raise ConfigurationError("channel-aware selection needs a realization")
@@ -206,9 +204,8 @@ def run_round(
             )
         return _finish(rec, server)
 
-    need_channel = cfg.scheme.analog or cfg.selection == SELECT_CHANNEL
     realization = None
-    if need_channel:
+    if cfg.scheme.analog or cfg.selection == SELECT_CHANNEL:
         realization = ch_mod.sample_channel(
             len(clients), cfg.n_antennas, cfg.noise_std, streams.channel_seed(t)
         )

@@ -344,7 +344,7 @@ class PartitionSpec:
     """Synthetic federated data: K clients, sizes, and a ground-truth model."""
 
     sizes: list[int]
-    n_features: int
+    n_features: int  # >= 1, as `ModelSpec` ensures
     label_kind: str = "real"  # "real" or "binary"
     noise_std: float = 0.0
     skew: float = 0.0  # per-client feature-mean shift magnitude
@@ -354,8 +354,6 @@ class PartitionSpec:
             raise ConfigurationError("sizes must list at least one client")
         if any(s < 1 for s in self.sizes):
             raise ConfigurationError("every client size must be >= 1")
-        if self.n_features < 1:
-            raise ConfigurationError("n_features must be >= 1")
         if self.label_kind not in ("real", "binary"):
             raise ConfigurationError("label_kind must be 'real' or 'binary'")
 

@@ -555,16 +555,6 @@ class TestTransmitRoundCsOverTheAir:
             ch.TransportScheme(kind, 5)
         assert ch.TransportScheme(kind).measurements is None
 
-    def test_measurements_must_compress(self):
-        dense = np.zeros(4)
-        r = ch.ChannelRealization(np.array([[1.0]]), 0.0)
-        with pytest.raises(ConfigurationError):
-            ch.transmit_round(
-                make_entries([dense], [1]),
-                ch.TransportScheme(ch.CS_OVER_THE_AIR, 4),
-                r, unit_plan([1.0], 1), np.random.default_rng(0),
-            )
-
 
 def omp_oracle(A, y, sparsity, tol=1e-8):
     """Reference OMP: refits least squares from scratch on every step."""
@@ -1029,12 +1019,6 @@ ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
             id="gains-nan",
         ),
         pytest.param(
-            lambda: ch.ChannelRealization(np.ones((2, 1)), -1.0),
-            ConfigurationError,
-            "noise_std must be >= 0",
-            id="noise",
-        ),
-        pytest.param(
             lambda: ch.TransportScheme("carrier-pigeon"),
             ConfigurationError,
             "unknown transport",
@@ -1045,18 +1029,6 @@ ONE_CLIENT = ch.ChannelRealization(np.ones((1, 1)), 0.0)
             ConfigurationError,
             "cs-over-the-air requires measurements >= 1",
             id="cs-no-measurements",
-        ),
-        pytest.param(
-            lambda: ch.sample_channel(0, 2, 0.0, seed=1),
-            ConfigurationError,
-            "n_clients and n_antennas",
-            id="no-clients",
-        ),
-        pytest.param(
-            lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 1.0}, 0.0),
-            ConfigurationError,
-            "power cap must be > 0",
-            id="cap",
         ),
         pytest.param(
             lambda: ch.solve_aggregation_weights(ONE_CLIENT, {0: 0.0}, 1.0),

@@ -427,8 +427,8 @@ class TestCompressionRatio:
         ),
         pytest.param(lambda: C.CodecSpec(clip_norm=0.0), "clip_norm must be > 0", id="clip"),
         pytest.param(
-            lambda: C.topk_indices(np.ones(4), 1.5),
-            "keep fraction must be in (0, 1]",
+            lambda: C.CodecSpec(C.SPARSIFIER_TOPK, keep_fraction=1.5),
+            "keep_fraction must be in (0, 1]",
             id="topk-rho",
         ),
         pytest.param(

@@ -755,6 +755,47 @@ class TestRoundConfigValidation:
             core.RoundConfig(**{name: value})
 
 
+FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), 5e-324]
+    ),
+    st.floats(),
+)
+COUNTS = st.integers(-3, 3)
+
+
+def in_unit(x):
+    return 0 < x <= 1
+
+
+# each range the round path relies on: its owner, the one place that checks
+# it, the values to try and the range itself
+OWNED_RANGES = {
+    "participation": (lambda x: core.RoundConfig(participation=x), FLOATS, in_unit),
+    "power_cap": (lambda x: core.RoundConfig(power_cap=x), FLOATS, lambda x: 0 < x < math.inf),
+    "noise_std": (lambda x: core.RoundConfig(noise_std=x), FLOATS, lambda x: 0 <= x < math.inf),
+    "n_antennas": (lambda n: core.RoundConfig(n_antennas=n), COUNTS, lambda n: n >= 1),
+    "keep_fraction": (
+        lambda x: C.CodecSpec(C.SPARSIFIER_TOPK, keep_fraction=x), FLOATS, in_unit
+    ),
+    "warmup": (lambda x: C.CodecSpec(C.SPARSIFIER_TOPK, warmup=(0.5, x)), FLOATS, in_unit),
+    "n_features": (lambda n: models.ModelSpec(models.LINEAR, n), COUNTS, lambda n: n >= 1),
+}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_each_owner_rejects_exactly_the_values_out_of_its_range(data):
+    name = data.draw(st.sampled_from(sorted(OWNED_RANGES)), label="setting")
+    build, values, in_range = OWNED_RANGES[name]
+    value = data.draw(values, label="value")
+    if in_range(value):
+        build(value)
+    else:
+        with pytest.raises(ConfigurationError):
+            build(value)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -769,9 +810,24 @@ class TestRoundConfigValidation:
             id="selection",
         ),
         pytest.param(
-            lambda: core.select_participants(4, 1.5, None),
-            "fraction must be in (0, 1]",
+            lambda: core.RoundConfig(participation=1.5),
+            "participation must be in (0, 1]",
             id="fraction",
+        ),
+        pytest.param(
+            lambda: core.RoundConfig(noise_std=-1.0),
+            "noise_std must be finite and >= 0",
+            id="noise-std",
+        ),
+        pytest.param(
+            lambda: core.RoundConfig(n_antennas=0),
+            "n_antennas must be >= 1",
+            id="n-antennas",
+        ),
+        pytest.param(
+            lambda: core.RoundConfig(power_cap=0.0),
+            "power_cap must be finite and > 0",
+            id="power-cap",
         ),
         pytest.param(
             lambda: core.select_participants(4, 0.5, None, mode=core.SELECT_CHANNEL),

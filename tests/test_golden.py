@@ -19,9 +19,10 @@ change that must keep every output byte is checked against its parent with
 which runs every case at seeds 7 and 11 with the parent's src and with this
 tree, at one BLAS thread, and prints the cells that differ at all: per
 moved column the number of moved cells, the first one, and for a float
-column the largest relative change. REV is a
-directory that holds a checkout of the parent, or else a git revision such
-as HEAD~1, whose src is extracted (`git archive`) into a temporary directory.
+column the largest relative change, and exits 1 when any column moved, so
+a script can stop on it. REV is a directory that holds a checkout of the
+parent, or else a git revision such as HEAD~1, whose src is extracted (`git
+archive`) into a temporary directory.
 """
 
 from __future__ import annotations
@@ -229,10 +230,12 @@ def regen(names: list[str]) -> None:
             print(f"  {line}")
 
 
-def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> None:
+def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> int:
     """Run every case at each seed with `checkout`/src and with this tree,
-    each in its own process at one BLAS thread, and list per case and seed
-    the cells that differ at all (`moved` at rtol 0)."""
+    each in its own process at one BLAS thread, list per case and seed the
+    cells that differ at all (`moved` at rtol 0), and return the number of
+    moved columns over all cases and seeds."""
+    total = 0
     for name in sorted(CASES):
         for seed in seeds:
             old, new = (
@@ -243,6 +246,8 @@ def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> None:
             print(f"{name} seed {seed}: {len(changes)} columns moved")
             for line in changes:
                 print(f"  {line}")
+            total += len(changes)
+    return total
 
 
 @contextmanager
@@ -261,19 +266,29 @@ def revision_checkout(revision: str):
         yield Path(tmp)
 
 
-def against_revision(where: str) -> None:
+def against_revision(where: str) -> int:
     """`against` a checkout directory, or the git revision `where` names."""
     if Path(where).is_dir():
-        against(Path(where))
-    else:
-        with revision_checkout(where) as checkout:
-            against(checkout)
+        return against(Path(where))
+    with revision_checkout(where) as checkout:
+        return against(checkout)
 
 
 def test_against_a_checkout_lists_what_moved(monkeypatch, capsys):
     monkeypatch.setattr(sys.modules[__name__], "CASES", {"baseline": CASES["baseline"]})
-    against(ROOT, seeds=(SEED,))
+    assert against(ROOT, seeds=(SEED,)) == 0
     assert capsys.readouterr().out == f"baseline seed {SEED}: 0 columns moved\n"
+
+
+def test_against_exits_1_when_a_column_moved(monkeypatch, capsys):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "CASES", {"baseline": CASES["baseline"]})
+    monkeypatch.setattr(module, "moved", lambda want, got, rtol: ["summary.txt:rounds moved"])
+    assert main(["--against", str(ROOT)]) == 1
+    assert capsys.readouterr().out == "".join(
+        f"baseline seed {seed}: 1 columns moved\n  summary.txt:rounds moved\n"
+        for seed in (SEED, 11)
+    )
 
 
 @pytest.mark.skipif(
@@ -316,15 +331,23 @@ def test_regen_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "baseline: new file\n"
 
 
-if __name__ == "__main__":
-    flag, *names = sys.argv[1:] or [""]
+def main(argv: list[str]) -> int:
+    """The script's exit status: 1 when `--against` finds a moved column or
+    the arguments are not a usage below, else 0."""
+    flag, *names = argv or [""]
     if flag == "--against" and len(names) == 1:
-        against_revision(names[0])
-    elif flag == "--regen" and set(names) <= set(CASES):
+        return 1 if against_revision(names[0]) else 0
+    if flag == "--regen" and set(names) <= set(CASES):
         regen(names or sorted(CASES))
-    else:
-        sys.exit(
-            "usage: PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]\n"
-            "       PYTHONPATH=src python3 tests/test_golden.py --against DIR|REV\n"
-            f"cases: {' '.join(sorted(CASES))}"
-        )
+        return 0
+    print(
+        "usage: PYTHONPATH=src python3 tests/test_golden.py --regen [CASE ...]\n"
+        "       PYTHONPATH=src python3 tests/test_golden.py --against DIR|REV\n"
+        f"cases: {' '.join(sorted(CASES))}",
+        file=sys.stderr,
+    )
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

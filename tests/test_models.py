@@ -620,7 +620,7 @@ ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
             id="batch",
         ),
         pytest.param(
-            lambda: models.PartitionSpec([3], 0),
+            lambda: models.ModelSpec(models.LINEAR, 0),
             "n_features must be >= 1",
             id="partition-features",
         ),
