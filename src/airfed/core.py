@@ -175,6 +175,14 @@ def _finish(rec: RoundRecord, server: ServerState) -> RoundRecord:
     return rec
 
 
+def _train(chosen: list[ClientState], spec: models.ModelSpec, cfg: models.TrainConfig) -> None:
+    """Local SGD of the chosen clients in one `models.local_updates` call."""
+    data, rngs = [c.dataset for c in chosen], [c.rng for c in chosen]
+    trained = models.local_updates(spec, [c.local_params for c in chosen], data, cfg, rngs)
+    for c, w in zip(chosen, trained):
+        c.local_params = w
+
+
 def run_round(
     server: ServerState,
     clients: list[ClientState],
@@ -197,11 +205,7 @@ def run_round(
     rec = RoundRecord(round_index=t, scheme=cfg.scheme.kind)
 
     if t % cfg.period != 0:
-        # off-schedule round: local progress only, no uplink
-        for c in clients:
-            c.local_params = models.sgd_local_update(
-                model_spec, c.local_params, c.dataset, train_cfg, c.rng
-            )
+        _train(clients, model_spec, train_cfg)  # off-schedule: local progress only
         return _finish(rec, server)
 
     realization = None
@@ -247,24 +251,20 @@ def run_round(
     if excluded:
         rec.events.append(("excluded", format_ids(excluded)))
 
-    # compute: every participant the plan keeps trains and encodes;
-    # stragglers do too, and miss the deadline only afterwards. Participants
-    # and transmitters both ascend, so the entries follow the plan's order.
+    # compute: every participant the plan keeps trains, in one call, and
+    # encodes; stragglers do too, and miss the deadline only afterwards.
+    # Both lists ascend, so the entries follow the plan's order.
+    kept = [cid for cid in participants if cid not in excluded]
+    _train([clients[cid] for cid in kept], model_spec, train_cfg)
     entries = []
-    for cid in participants:
-        if cid in excluded:
-            continue
+    for cid in kept:
         c = clients[cid]
-        w_new = models.sgd_local_update(
-            model_spec, c.local_params, c.dataset, train_cfg, c.rng
-        )
-        c.local_params = w_new
         # the upload is the pseudo-gradient (w_server - w_k)/mu: uncompressed,
         # the server's step by -mu times its mean is FedAvg's weight average
         if train_cfg.step_size > 0:
-            raw = (server.params - w_new) / train_cfg.step_size
+            raw = (server.params - c.local_params) / train_cfg.step_size
         else:
-            raw = np.zeros_like(w_new)
+            raw = np.zeros_like(server.params)
         payload = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
         if cid in sending:
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, c.dataset.size))

@@ -271,24 +271,18 @@ def sgd_local_update(
 
     A linear or logistic model with n <= p rows, whose two or more steps
     touch every row (a full batch, or n <= local_steps · batch), steps in
-    the sample domain instead (`_sample_domain_sgd`): the same batches,
-    and the same iterates up to rounding.
+    the sample domain instead (`_sample_domain_sgd`, here a group of one):
+    the same batches, and the same iterates up to rounding. A round's
+    `local_updates` steps such clients of one n together: every z = X·w₀,
+    then one step loop, then every Xᵀα. At digital-dgc's 64 × 2,000 rows a
+    client's steps take about 26 µs there, not 66–76 µs alone, but its rows
+    (1 MB) have left a 2 MB L2 cache by their second read: 41–44 µs, not 22–25.
     """
+    if _in_sample_domain(spec, data.size, cfg):
+        return _sample_domain_sgd(spec, [w_start], [data], cfg, [rng])[0]
     w = np.asarray(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
-    X, y = data.features, data.labels
-    n = data.size
-    # the sample domain reads all n rows twice per call, so it pays only when
-    # the steps touch every row: at 2,000 features, on one BLAS thread of a
-    # Xeon core, two steps of 16 of 256 rows ran 5.7 times slower in it than
-    # in the loop, and five steps of 16 of 64 rows 1.4 times faster
-    if (
-        spec.kind != MLP
-        and cfg.local_steps >= 2
-        and n <= spec.n_features
-        and (cfg.batch_size == "full" or n <= cfg.local_steps * cfg.batch_size)
-    ):
-        return _sample_domain_sgd(spec, w, data, cfg, rng)
+    X, y, n = data.features, data.labels, data.size
     rows, pos = slice(None), n  # pos = n: the first mini-batch step draws an order
     for _ in range(cfg.local_steps):
         if cfg.batch_size != "full":
@@ -303,40 +297,81 @@ def sgd_local_update(
     return w
 
 
+def _in_sample_domain(spec: ModelSpec, n: int, cfg: TrainConfig) -> bool:
+    # the sample domain reads all n rows twice per call, so it pays only when
+    # the steps touch every row: at 2,000 features, on one BLAS thread of a
+    # Xeon core, two steps of 16 of 256 rows ran 5.7 times slower in it than
+    # in the loop, and five steps of 16 of 64 rows 1.4 times faster
+    return (
+        spec.kind != MLP and cfg.local_steps >= 2 and n <= spec.n_features
+        and (cfg.batch_size == "full" or n <= cfg.local_steps * cfg.batch_size)
+    )
+
+
+def local_updates(
+    spec: ModelSpec, starts: list, datasets: list[Dataset], cfg: TrainConfig, rngs: list
+) -> list[np.ndarray]:
+    """`sgd_local_update(spec, starts[k], datasets[k], cfg, rngs[k])` for
+    every client k, bit for bit. Clients are grouped by row count n: a group
+    in the sample domain steps in one `_sample_domain_sgd` call, and every
+    other client takes its own `sgd_local_update` call."""
+    out, groups = [None] * len(datasets), {}  # groups: n -> ids of the clients
+    for k, data in enumerate(datasets):
+        groups.setdefault(data.size, []).append(k)
+    for n, ks in groups.items():  # one rule check per n
+        if _in_sample_domain(spec, n, cfg):
+            ws, ds, gens = ([seq[k] for k in ks] for seq in (starts, datasets, rngs))
+            trained = _sample_domain_sgd(spec, ws, ds, cfg, gens)
+        else:
+            trained = [sgd_local_update(spec, starts[k], datasets[k], cfg, rngs[k]) for k in ks]
+        for k, w in zip(ks, trained):
+            out[k] = w
+    return out
+
+
 def _sample_domain_sgd(
-    spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: TrainConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """sgd_local_update of a linear or logistic model in the n-dimensional
-    sample domain, the representer form of SDCA (Shalev-Shwartz & Zhang,
-    2013). The step w ← decay·w − X_Bᵀr, with decay = 1 − μ·l2 and
-    r = μ·(link(X_B·w) − y_B)/|B|, keeps w = s·w₀ − Xᵀα with α ← decay·α,
-    α_B += r and s ← decay·s, and the predictions z = X·w of every row with
-    z ← decay·z − K_Bᵀr, K = X·Xᵀ. A call reads the rows twice (z = X·w₀,
-    then Xᵀα), and a step reads |B| × n entries of K, not |B| × p of X."""
-    X, y = data.features, data.labels
-    n, mu = data.size, cfg.step_size
+    spec: ModelSpec, starts: list, datasets: list[Dataset], cfg: TrainConfig, rngs: list
+) -> list[np.ndarray]:
+    """sgd_local_update of P linear or logistic clients of n rows each, in
+    the n-dimensional sample domain, the representer form of SDCA
+    (Shalev-Shwartz & Zhang, 2013). The step w ← decay·w − X_Bᵀr, with
+    decay = 1 − μ·l2 and r = μ·(link(X_B·w) − y_B)/|B|, keeps w = s·w₀ − Xᵀα
+    with α ← decay·α, α_B += r and s ← decay·s, and the predictions z = X·w
+    of every row with z ← decay·z − K_Bᵀr, K = X·Xᵀ: |B| × n entries of K
+    per step, not |B| × p of X. Equal n gives one batch length per step, so
+    a step takes flat batch indices into the stacked z and Grams (a (P·n, n)
+    copy if P > 1) and makes one np.matmul of the (P, 1, |B|) residuals with
+    the (P, |B|, n) rows of K. Each client draws its orders from its own
+    generator when it would alone, and each product is the one it makes
+    alone, so its result does not depend on its group."""
+    starts = [np.asarray(w, dtype=np.float64) for w in starts]
+    for w, data in zip(starts, datasets):
+        spec.check_dims(w, data)  # once: every batch is rows of this valid data
+    P, n, mu = len(datasets), datasets[0].size, cfg.step_size
     decay = 1.0 - mu * spec.l2
-    K = data.gram
-    z = X @ w
-    alpha = np.zeros(n)
-    s = 1.0
+    # flat stacks: client k's rows are k·n to k·n + n − 1
+    z = np.concatenate([d.features @ w for d, w in zip(datasets, starts)])
+    y = np.concatenate([d.labels for d in datasets])
+    K = datasets[0].gram if P == 1 else np.concatenate([d.gram for d in datasets])
+    alpha, s = np.zeros(P * n), 1.0
     rows, pos = slice(None), n
     for step in range(cfg.local_steps):
         if cfg.batch_size != "full":
             if pos >= n:
-                order, pos = rng.permutation(n), 0
-            rows, pos = order[pos : pos + cfg.batch_size], pos + cfg.batch_size
+                order, pos = np.stack([rng.permutation(n) for rng in rngs]), 0
+                order += np.arange(0, P * n, n)[:, None]
+            rows, pos = order[:, pos : pos + cfg.batch_size], pos + cfg.batch_size
         zb = z[rows]
         r = (_sigmoid(zb) if spec.kind == LOGISTIC else zb) - y[rows]
-        r *= mu / len(r)
+        r *= mu / (r.size // P)
         alpha *= decay
         alpha[rows] += r
         s *= decay
         if step < cfg.local_steps - 1:
             z *= decay
-            z -= r @ K[rows]
-    v = alpha @ X
-    return np.subtract(s * w, v, out=v)
+            z -= (r.reshape(P, 1, -1) @ K[rows].reshape(P, -1, n)).reshape(-1)
+    V = [a @ d.features for a, d in zip(alpha.reshape(P, n), datasets)]
+    return [np.subtract(s * w, v, out=v) for w, v in zip(starts, V)]
 
 
 @dataclass

@@ -277,7 +277,7 @@ def traced_rounds(text):
     ids that trained and that encoded in it, and per-client snapshots of the
     encoder accumulators, generator state and local parameters before and
     after it."""
-    sgd, encode, run_round = models.sgd_local_update, C.encode, core.run_round
+    train, encode, run_round = models.local_updates, C.encode, core.run_round
     rounds = []
     current = {}  # client id per dataset and per encoder, and the round's calls
 
@@ -292,9 +292,9 @@ def traced_rounds(text):
             for k, c in enumerate(clients)
         }
 
-    def spy_sgd(spec, w, data, *args):
-        current["trained"].append(current["by_data"][id(data)])
-        return sgd(spec, w, data, *args)
+    def spy_train(spec, starts, datasets, *args):
+        current["trained"] += [current["by_data"][id(data)] for data in datasets]
+        return train(spec, starts, datasets, *args)
 
     def spy_encode(raw, codec, state=None, **kwargs):
         current["encoded"].append(current["by_encoder"][id(state)])
@@ -322,7 +322,7 @@ def traced_rounds(text):
 
     sc = parse_scenario(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "sgd_local_update", spy_sgd)
+        mp.setattr(models, "local_updates", spy_train)
         mp.setattr(C, "encode", spy_encode)
         mp.setattr(core, "run_round", spy_round)
         core.run_training(sc)
@@ -615,17 +615,21 @@ class TestSchedulingBeforeCompute:
             assert r["trained"] == r["encoded"] == r["rec"].participants == [0, 1, 2, 3, 4]
 
     def test_stragglers_still_train_and_encode(self):
-        # each client misses the deadline with probability 1/2
-        _, rounds = traced_rounds(
-            "seed = 9\nrounds = 6\nclients = 5\nfeatures = 4\npayload = gradients\n"
-            "scheme = over-the-air\nantennas = 8\npower_cap = 1e6\n"
-            "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n",
-        )
-        missed = [named(r["rec"], "deadline-miss") for r in rounds]
-        assert any(missed)
-        for r, late in zip(rounds, missed):
-            assert r["trained"] == r["encoded"] == [0, 1, 2, 3, 4]
-            assert late.isdisjoint(r["rec"].participants)
+        # each client misses the deadline with probability 1/2; the clients
+        # take the per-step loop, then the sample domain: 8 rows of 12
+        # features, whose three steps of 4 touch every row
+        sample_domain = "features = 12\nclient_size = 8\nbatch = 4\nlocal_steps = 3\n"
+        for shape in ("features = 4\n", sample_domain):
+            _, rounds = traced_rounds(
+                "seed = 9\nrounds = 6\nclients = 5\npayload = gradients\n"
+                "scheme = over-the-air\nantennas = 8\npower_cap = 1e6\n"
+                "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n" + shape,
+            )
+            missed = [named(r["rec"], "deadline-miss") for r in rounds]
+            assert any(missed)
+            for r, late in zip(rounds, missed):
+                assert r["trained"] == r["encoded"] == [0, 1, 2, 3, 4]
+                assert late.isdisjoint(r["rec"].participants)
 
 
 class TestOverTheAirTargets:

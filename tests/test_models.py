@@ -194,10 +194,16 @@ class TestGradient:
 
 @pytest.fixture
 def sample_domain_calls(monkeypatch):
-    """The arguments of every call of local SGD's sample-domain form."""
+    """The datasets of every call of local SGD's sample-domain form, one
+    list per call: the clients it steps together."""
     calls = []
     sample = models._sample_domain_sgd
-    monkeypatch.setattr(models, "_sample_domain_sgd", lambda *a: calls.append(a) or sample(*a))
+
+    def spy(spec, starts, datasets, *args):
+        calls.append(list(datasets))
+        return sample(spec, starts, datasets, *args)
+
+    monkeypatch.setattr(models, "_sample_domain_sgd", spy)
     return calls
 
 
@@ -307,13 +313,15 @@ class TestSgdLocalUpdate:
     def test_each_training_client_builds_its_gram_once_per_run(
         self, monkeypatch, gram_builds, name, trains
     ):
+        # a round trains its clients through the round-level entry
         trained = set()
-        update = models.sgd_local_update
-        monkeypatch.setattr(
-            models,
-            "sgd_local_update",
-            lambda spec, w, data, *a: trained.add(id(data)) or update(spec, w, data, *a),
-        )
+        updates = models.local_updates
+
+        def spy(spec, starts, datasets, *args):
+            trained.update(id(data) for data in datasets)
+            return updates(spec, starts, datasets, *args)
+
+        monkeypatch.setattr(models, "local_updates", spy)
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / f"{name}.cfg"
         scenario = dataclasses.replace(load_scenario(path, seed=7), rounds=40)
         core.run_training(scenario)
@@ -342,13 +350,21 @@ class TestSgdLocalUpdate:
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
             "client_size = 20\nlocal_steps = 3\nmu = 10\n"
         )
+
+        def per_step_round(spec, starts, datasets, cfg, rngs):
+            return [
+                per_step_dataset_sgd(spec, w, data, cfg, rng)
+                for w, data, rng in zip(starts, datasets, rngs)
+            ]
+
         errors = []
-        for step in (models.sgd_local_update, per_step_dataset_sgd):
-            monkeypatch.setattr(models, "sgd_local_update", step)
+        for train in (models.local_updates, per_step_round):
+            monkeypatch.setattr(models, "local_updates", train)
             assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
             errors.append(capsys.readouterr().err)
-        # four clients train in each of the 32 rounds, in the sample domain
-        assert len(sample_domain_calls) == 4 * 32
+        # four clients train in each of the 32 rounds, in the sample domain,
+        # and only in the first run: the per-step run never reaches it
+        assert sum(len(clients) for clients in sample_domain_calls) == 4 * 32
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: training diverged in round 32:")
 
@@ -488,6 +504,64 @@ class TestKernelsMatchOracles:
         want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
         assert got.dtype == want.dtype and not np.shares_memory(got, w0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", [models.LINEAR, models.LOGISTIC])
+    @given(
+        clients=st.integers(1, 6),
+        steps=st.integers(2, 6),
+        batch=st.one_of(st.just("full"), st.integers(1, 12)),
+        l2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        draw=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sample_domain_group_equals_one_call_per_client(
+        self, kind, clients, steps, batch, l2, shared, seed, draw
+    ):
+        # n <= p rows that the steps all touch: a full batch, mini-batches
+        # with a short last one, or one larger than n
+        n = draw.draw(st.integers(1, 12 if batch == "full" else min(steps * batch, 12)))
+        p = draw.draw(st.integers(n, n + 6))
+        rng = np.random.default_rng(seed)
+        pairs = [random_spec_and_data(kind, rng, n=n, p=p, l2=l2) for _ in range(clients)]
+        spec, datasets = pairs[0][0], [data for _, data in pairs]
+        # distinct starts, as in an off-schedule round, or the one read-only
+        # array that a broadcast hands every client
+        starts = [0.5 * rng.standard_normal(p) for _ in range(1 if shared else clients)]
+        for w in starts:
+            w.flags.writeable = False
+        starts = starts * clients if shared else starts
+        cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
+        seeds = rng.integers(2**32, size=clients)
+        together = [np.random.default_rng(s) for s in seeds]
+        got = models._sample_domain_sgd(spec, starts, datasets, cfg, together)
+        for w, data, s, g, gen in zip(starts, datasets, seeds, got, together):
+            alone = np.random.default_rng(s)
+            want = models.sgd_local_update(spec, w, data, cfg, alone)
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+            assert gen.bit_generator.state == alone.bit_generator.state
+            assert not np.shares_memory(g, w)
+
+    def test_round_groups_sample_domain_clients_by_size(self, sample_domain_calls):
+        # 10 features and three steps of 4: n <= 10 steps in the sample
+        # domain, and n = 11 (n > p) and 13 (n > 12 rows touched) in the loop
+        sizes = [7, 11, 3, 7, 10, 3, 7, 13]
+        rng = np.random.default_rng(12)
+        pairs = [random_spec_and_data(models.LOGISTIC, rng, n=n, p=10, l2=0.1) for n in sizes]
+        spec, datasets = pairs[0][0], [data for _, data in pairs]
+        starts = [rng.standard_normal(10) for _ in sizes]
+        cfg = models.TrainConfig(step_size=0.1, batch_size=4, local_steps=3)
+        together = [np.random.default_rng(k) for k in range(len(sizes))]
+        got = models.local_updates(spec, starts, datasets, cfg, together)
+        groups = [[0, 3, 6], [2, 5], [4]]
+        stepped = [[id(data) for data in call] for call in sample_domain_calls]
+        assert stepped == [[id(datasets[k]) for k in group] for group in groups]
+        for k, (w, data, g, gen) in enumerate(zip(starts, datasets, got, together)):
+            alone = np.random.default_rng(k)
+            want = models.sgd_local_update(spec, w, data, cfg, alone)
+            assert g.tobytes() == want.tobytes()
+            assert gen.bit_generator.state == alone.bit_generator.state
 
 
 def per_client_synthetic(partition, seed):
