@@ -261,25 +261,18 @@ def sgd_local_update(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run `local_steps` mini-batch SGD steps starting from w_start.
+    """Run `local_steps` mini-batch SGD steps from w_start in the per-step
+    loop. `local_updates`, which a round calls, picks local SGD's form: on a
+    shape in the sample domain a direct call differs from a round's result
+    by rounding (at most 1.6e-14 relative), and `local_updates` of this
+    client alone gives a round's bits.
 
     Batches are drawn without replacement per epoch, reshuffled per epoch
     from the supplied generator, so the trajectory is reproducible. A full
     batch draws nothing and steps on views of every row. w_start is never
     written, so it may be a read-only array that many clients share: each
     step writes its result into the step's own new gradient array.
-
-    A linear or logistic model with n <= p rows, whose two or more steps
-    touch every row (a full batch, or n <= local_steps · batch), steps in
-    the sample domain instead (`_sample_domain_sgd`, here a group of one):
-    the same batches, and the same iterates up to rounding. A round's
-    `local_updates` steps such clients of one n together: every z = X·w₀,
-    then one step loop, then every Xᵀα. At digital-dgc's 64 × 2,000 rows a
-    client's steps take about 26 µs there, not 66–76 µs alone, but its rows
-    (1 MB) have left a 2 MB L2 cache by their second read: 41–44 µs, not 22–25.
     """
-    if _in_sample_domain(spec, data.size, cfg):
-        return _sample_domain_sgd(spec, [w_start], [data], cfg, [rng])[0]
     w = np.asarray(w_start, dtype=np.float64)
     spec.check_dims(w, data)  # once: every batch is rows of this valid data
     X, y, n = data.features, data.labels, data.size
@@ -311,10 +304,11 @@ def _in_sample_domain(spec: ModelSpec, n: int, cfg: TrainConfig) -> bool:
 def local_updates(
     spec: ModelSpec, starts: list, datasets: list[Dataset], cfg: TrainConfig, rngs: list
 ) -> list[np.ndarray]:
-    """`sgd_local_update(spec, starts[k], datasets[k], cfg, rngs[k])` for
-    every client k, bit for bit. Clients are grouped by row count n: a group
-    in the sample domain steps in one `_sample_domain_sgd` call, and every
-    other client takes its own `sgd_local_update` call."""
+    """Local SGD of every client k from starts[k] on datasets[k] with rngs[k],
+    and the one place that picks its form: the clients of one row count n
+    step in one `_sample_domain_sgd` call if `_in_sample_domain` admits n,
+    and each in its own `sgd_local_update` call, the per-step loop, if not.
+    A client's result does not depend on its group."""
     out, groups = [None] * len(datasets), {}  # groups: n -> ids of the clients
     for k, data in enumerate(datasets):
         groups.setdefault(data.size, []).append(k)
@@ -332,16 +326,16 @@ def local_updates(
 def _sample_domain_sgd(
     spec: ModelSpec, starts: list, datasets: list[Dataset], cfg: TrainConfig, rngs: list
 ) -> list[np.ndarray]:
-    """sgd_local_update of P linear or logistic clients of n rows each, in
-    the n-dimensional sample domain, the representer form of SDCA
-    (Shalev-Shwartz & Zhang, 2013). The step w ← decay·w − X_Bᵀr, with
+    """Local SGD of P linear or logistic clients of n rows each, a group of
+    `local_updates`, in the n-dimensional sample domain, the representer form
+    of SDCA (Shalev-Shwartz & Zhang, 2013). The step w ← decay·w − X_Bᵀr, with
     decay = 1 − μ·l2 and r = μ·(link(X_B·w) − y_B)/|B|, keeps w = s·w₀ − Xᵀα
     with α ← decay·α, α_B += r and s ← decay·s, and the predictions z = X·w
     of every row with z ← decay·z − K_Bᵀr, K = X·Xᵀ: |B| × n entries of K
     per step, not |B| × p of X. Equal n gives one batch length per step, so
     a step takes flat batch indices into the stacked z and Grams (a (P·n, n)
-    copy if P > 1) and makes one np.matmul of the (P, 1, |B|) residuals with
-    the (P, |B|, n) rows of K. Each client draws its orders from its own
+    copy) and makes one np.matmul of the (P, 1, |B|) residuals with the
+    (P, |B|, n) rows of K. Each client draws its orders from its own
     generator when it would alone, and each product is the one it makes
     alone, so its result does not depend on its group."""
     starts = [np.asarray(w, dtype=np.float64) for w in starts]
@@ -352,7 +346,7 @@ def _sample_domain_sgd(
     # flat stacks: client k's rows are k·n to k·n + n − 1
     z = np.concatenate([d.features @ w for d, w in zip(datasets, starts)])
     y = np.concatenate([d.labels for d in datasets])
-    K = datasets[0].gram if P == 1 else np.concatenate([d.gram for d in datasets])
+    K = np.concatenate([d.gram for d in datasets])
     alpha, s = np.zeros(P * n), 1.0
     rows, pos = slice(None), n
     for step in range(cfg.local_steps):
@@ -376,11 +370,10 @@ def _sample_domain_sgd(
 
 @dataclass
 class PartitionSpec:
-    """Synthetic federated data: K clients, sizes, and a ground-truth model."""
+    """Synthetic federated data for a model: K clients, sizes, and a ground truth."""
 
     sizes: list[int]
-    n_features: int  # >= 1, as `ModelSpec` ensures
-    label_kind: str = "real"  # "real" or "binary"
+    model: ModelSpec  # its feature count, and labels that its kind trains on
     noise_std: float = 0.0
     skew: float = 0.0  # per-client feature-mean shift magnitude
 
@@ -389,8 +382,6 @@ class PartitionSpec:
             raise ConfigurationError("sizes must list at least one client")
         if any(s < 1 for s in self.sizes):
             raise ConfigurationError("every client size must be >= 1")
-        if self.label_kind not in ("real", "binary"):
-            raise ConfigurationError("label_kind must be 'real' or 'binary'")
 
     @property
     def n_clients(self) -> int:
@@ -402,7 +393,7 @@ def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
     `split(partition.sizes)` gives the clients' datasets. The arrays are
     read-only, so no client can change another client's rows."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p = partition.n_features
+    p = partition.model.n_features
     w_star = rng.standard_normal(p)
     n_rows = sum(partition.sizes)
     X, y = np.empty((n_rows, p)), np.empty(n_rows)
@@ -412,7 +403,7 @@ def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
         rng.standard_normal(out=rows)
         rows += shift
         z = rows @ w_star
-        if partition.label_kind == "binary":
+        if partition.model.kind == LOGISTIC:  # binary labels
             labels[:] = rng.random(len(labels)) < _sigmoid(z)
         else:
             labels[:] = z + partition.noise_std * rng.standard_normal(len(labels))

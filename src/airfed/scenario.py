@@ -211,8 +211,7 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         "partition",
         models.PartitionSpec,
         sizes=list(sizes),
-        n_features=v["features"],
-        label_kind="binary" if kind == models.LOGISTIC else "real",
+        model=model_spec,
         noise_std=v["label_noise"],
         skew=v["skew"],
     )

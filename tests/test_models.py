@@ -260,7 +260,7 @@ class TestSgdLocalUpdate:
         spec, data = random_spec_and_data(kind, np.random.default_rng(3), n=n, p=p)
         w0 = models.initial_params(spec, np.random.default_rng(4))
         cfg = models.TrainConfig(step_size=0.01, batch_size=batch, local_steps=steps)
-        models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(5))
+        models.local_updates(spec, [w0], [data], cfg, [np.random.default_rng(5)])
         assert len(sample_domain_calls) == sample_domain
         # only the sample domain builds the Gram matrix
         assert ("gram" in vars(data)) == sample_domain
@@ -269,7 +269,7 @@ class TestSgdLocalUpdate:
         spec, data = random_spec_and_data(models.LINEAR, np.random.default_rng(8), n=6, p=9)
         cfg = models.TrainConfig(step_size=0.1, local_steps=3)
         for seed in range(3):
-            models.sgd_local_update(spec, np.zeros(9), data, cfg, np.random.default_rng(seed))
+            models.local_updates(spec, [np.zeros(9)], [data], cfg, [np.random.default_rng(seed)])
         assert gram_builds == [data]
         X = data.features
         np.testing.assert_allclose(data.gram, X @ X.T, rtol=1e-14)
@@ -470,9 +470,8 @@ class TestKernelsMatchOracles:
         # no defensive copy: the first step writes a new array, never w0
         assert not np.shares_memory(got, w0)
         assert np.array_equal(w0, start)
-        # draws that step in the sample domain (they build the Gram matrix)
-        # are checked within the golden tolerance by the test below
-        assume("gram" not in vars(data))
+        # the loop on every shape, so no draw builds a Gram matrix
+        assert "gram" not in vars(data)
         want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -499,7 +498,7 @@ class TestKernelsMatchOracles:
         w0 = 0.5 * rng.standard_normal(spec.dim)
         w0.flags.writeable = False
         cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
-        got = models.sgd_local_update(spec, w0, data, cfg, np.random.default_rng(seed))
+        (got,) = models.local_updates(spec, [w0], [data], cfg, [np.random.default_rng(seed)])
         assert "gram" in vars(data)
         want = per_step_dataset_sgd(spec, w0, data, cfg, np.random.default_rng(seed))
         assert got.dtype == want.dtype and not np.shares_memory(got, w0)
@@ -535,18 +534,26 @@ class TestKernelsMatchOracles:
         cfg = models.TrainConfig(step_size=0.1, batch_size=batch, local_steps=steps)
         seeds = rng.integers(2**32, size=clients)
         together = [np.random.default_rng(s) for s in seeds]
-        got = models._sample_domain_sgd(spec, starts, datasets, cfg, together)
+        got = models.local_updates(spec, starts, datasets, cfg, together)
         for w, data, s, g, gen in zip(starts, datasets, seeds, got, together):
+            assert "gram" in vars(data)
             alone = np.random.default_rng(s)
-            want = models.sgd_local_update(spec, w, data, cfg, alone)
+            (want,) = models.local_updates(spec, [w], [data], cfg, [alone])
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
             assert gen.bit_generator.state == alone.bit_generator.state
             assert not np.shares_memory(g, w)
 
-    def test_round_groups_sample_domain_clients_by_size(self, sample_domain_calls):
+    def test_round_groups_sample_domain_clients_by_size(self, monkeypatch, sample_domain_calls):
         # 10 features and three steps of 4: n <= 10 steps in the sample
         # domain, and n = 11 (n > p) and 13 (n > 12 rows touched) in the loop
         sizes = [7, 11, 3, 7, 10, 3, 7, 13]
+        looped, loop = [], models.sgd_local_update
+
+        def spy(spec, w, data, *args):
+            looped.append(data)
+            return loop(spec, w, data, *args)
+
+        monkeypatch.setattr(models, "sgd_local_update", spy)
         rng = np.random.default_rng(12)
         pairs = [random_spec_and_data(models.LOGISTIC, rng, n=n, p=10, l2=0.1) for n in sizes]
         spec, datasets = pairs[0][0], [data for _, data in pairs]
@@ -557,9 +564,11 @@ class TestKernelsMatchOracles:
         groups = [[0, 3, 6], [2, 5], [4]]
         stepped = [[id(data) for data in call] for call in sample_domain_calls]
         assert stepped == [[id(datasets[k]) for k in group] for group in groups]
+        # one loop call per loop-form client, none for the others
+        assert [id(data) for data in looped] == [id(datasets[1]), id(datasets[7])]
         for k, (w, data, g, gen) in enumerate(zip(starts, datasets, got, together)):
             alone = np.random.default_rng(k)
-            want = models.sgd_local_update(spec, w, data, cfg, alone)
+            (want,) = models.local_updates(spec, [w], [data], cfg, [alone])
             assert g.tobytes() == want.tobytes()
             assert gen.bit_generator.state == alone.bit_generator.state
 
@@ -567,14 +576,14 @@ class TestKernelsMatchOracles:
 def per_client_synthetic(partition, seed):
     """Oracle: the per-client generator, one fresh array pair per client."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p = partition.n_features
+    p = partition.model.n_features
     w_star = rng.standard_normal(p)
     datasets = []
     for n in partition.sizes:
         shift = partition.skew * rng.standard_normal(p)
         X = rng.standard_normal((n, p)) + shift
         z = X @ w_star
-        if partition.label_kind == "binary":
+        if partition.model.kind == models.LOGISTIC:
             y = (rng.random(n) < models._sigmoid(z)).astype(np.float64)
         else:
             y = z + partition.noise_std * rng.standard_normal(n)
@@ -584,12 +593,12 @@ def per_client_synthetic(partition, seed):
 
 class TestMakeSynthetic:
     def test_single_client(self):
-        part = models.PartitionSpec([17], 3)
+        part = models.PartitionSpec([17], models.ModelSpec(models.LINEAR, 3))
         (ds,) = models.make_synthetic(part, seed=0).split(part.sizes)
         assert ds.size == 17 and ds.n_features == 3
 
     def test_same_seed_identical(self):
-        part = models.PartitionSpec([5, 6, 7], 4, label_kind="binary")
+        part = models.PartitionSpec([5, 6, 7], models.ModelSpec(models.LOGISTIC, 4))
         a = models.make_synthetic(part, seed=9)
         b = models.make_synthetic(part, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
@@ -597,19 +606,21 @@ class TestMakeSynthetic:
 
     def test_zero_skew_means_close_to_zero(self):
         n = 4000
-        part = models.PartitionSpec([n] * 3, 5, skew=0.0)
+        part = models.PartitionSpec([n] * 3, models.ModelSpec(models.LINEAR, 5), skew=0.0)
         datasets = models.make_synthetic(part, seed=11).split(part.sizes)
         for ds in datasets:
             means = ds.features.mean(axis=0)
             assert np.all(np.abs(means) < 3.0 / math.sqrt(n))
 
-    @pytest.mark.parametrize("label_kind", ["real", "binary"])
+    # ids name the labels each kind draws
+    @pytest.mark.parametrize(
+        "kind", [models.LINEAR, models.LOGISTIC, models.MLP], ids=["real", "binary", "mlp"]
+    )
     @pytest.mark.parametrize("skew", [0.0, 1.5])
     @pytest.mark.parametrize("sizes", [[9, 9, 9], [1, 13, 4, 7]])
-    def test_pooled_equals_per_client_generator(self, sizes, skew, label_kind):
-        part = models.PartitionSpec(
-            sizes, 6, label_kind=label_kind, noise_std=0.3, skew=skew
-        )
+    def test_pooled_equals_per_client_generator(self, sizes, skew, kind):
+        model = models.ModelSpec(kind, 6, hidden=3 if kind == models.MLP else 0)
+        part = models.PartitionSpec(sizes, model, noise_std=0.3, skew=skew)
         population = models.make_synthetic(part, seed=21)
         views = population.split(sizes)
         for view, ref in zip(views, per_client_synthetic(part, seed=21)):
@@ -620,7 +631,7 @@ class TestMakeSynthetic:
         assert population.size == sum(sizes)
 
     def test_population_is_read_only(self):
-        part = models.PartitionSpec([3, 4], 2)
+        part = models.PartitionSpec([3, 4], models.ModelSpec(models.LINEAR, 2))
         population = models.make_synthetic(part, seed=1)
         first, _ = population.split(part.sizes)
         for arr in (population.features, population.labels, first.features, first.labels):
@@ -628,15 +639,16 @@ class TestMakeSynthetic:
                 arr[0] = 1.0
 
     def test_split_sizes_must_cover_the_rows(self):
-        part = models.PartitionSpec([3, 4], 2)
+        part = models.PartitionSpec([3, 4], models.ModelSpec(models.LINEAR, 2))
         with pytest.raises(ConfigurationError):
             models.make_synthetic(part, seed=1).split([3, 3])
 
     def test_invalid_partition_rejected(self):
+        model = models.ModelSpec(models.LINEAR, 3)
         with pytest.raises(ConfigurationError):
-            models.PartitionSpec([], 3)
+            models.PartitionSpec([], model)
         with pytest.raises(ConfigurationError):
-            models.PartitionSpec([5, 0], 3)
+            models.PartitionSpec([5, 0], model)
 
 
 ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
@@ -697,11 +709,6 @@ ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
             lambda: models.ModelSpec(models.LINEAR, 0),
             "n_features must be >= 1",
             id="partition-features",
-        ),
-        pytest.param(
-            lambda: models.PartitionSpec([3], 2, label_kind="ordinal"),
-            "label_kind must be",
-            id="label-kind",
         ),
     ],
 )
