@@ -27,7 +27,7 @@ class ClientState:
     dataset: models.Dataset
     local_params: np.ndarray
     encoder: comp_mod.EncoderState
-    rng: np.random.Generator  # the client's stream: batch order of local SGD
+    rng: np.random.Generator | None  # mini-batch order of local SGD; a full batch has none
 
 
 @dataclass
@@ -159,11 +159,21 @@ def format_ids(client_ids) -> str:
     return ";".join(str(cid) for cid in sorted(client_ids))
 
 
-def _diverged(round_index: int) -> ProtocolError:
-    return ProtocolError(
-        f"training diverged in round {round_index}: "
-        "non-finite server parameters or global loss"
-    )
+# a run has diverged when a round's global loss exceeds DIVERGENCE_FACTOR times
+# L_0, the loss at the server's starting parameters: on the golden cases and
+# the benchmark's workloads max_t L_t / L_0 stays at or below 1.0, so 2 leaves
+# them a 2x margin
+DIVERGENCE_FACTOR = 2.0
+
+
+def _diverged(rec: RoundRecord, start_loss: float = math.nan) -> ProtocolError:
+    why = "non-finite server parameters or global loss"
+    if math.isfinite(rec.global_loss):
+        why = (
+            f"global loss {rec.global_loss:.6g} exceeds {DIVERGENCE_FACTOR:g} times "
+            f"the starting loss {start_loss:.6g}"
+        )
+    return ProtocolError(f"training diverged in round {rec.round_index}: {why}")
 
 
 def _finish(rec: RoundRecord, server: ServerState) -> RoundRecord:
@@ -171,7 +181,7 @@ def _finish(rec: RoundRecord, server: ServerState) -> RoundRecord:
     mean training diverged: stop the run."""
     server.round_index = rec.round_index
     if not np.all(np.isfinite(server.params)):
-        raise _diverged(rec.round_index)
+        raise _diverged(rec)
     return rec
 
 
@@ -308,7 +318,11 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     LOSS_BLOCK_BYTES of (population size × block) temporaries. A round
     whose parameters may overflow the loss (they fail the
     `models.finite_loss_radius` test) is evaluated at once, with the block
-    before it, so a run stops at its first non-finite loss."""
+    before it. Each filled block is checked in round order: the first round
+    whose loss is non-finite or exceeds DIVERGENCE_FACTOR times L_0 stops
+    the run, which keeps the rounds before it. L_0, the loss at the server's
+    starting parameters, is evaluated once, in its own call at the first
+    block."""
     streams = RngStreams(scenario.seed)
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
@@ -316,9 +330,13 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     # the server broadcasts its starting parameters: every client shares them
     server = ServerState(models.initial_params(spec, streams.init()))
     server.params.flags.writeable = False
-    # streams first: building each one between its client's arrays raised
-    # the benchmark's peak RSS on ota-crowd (64 clients) by 3.5 MB
-    rngs = [streams.client(k) for k in range(len(datasets))]
+    start = server.params
+    # a full batch draws no order in either form of local SGD, so its clients
+    # get no stream; streams before arrays: building each one between its
+    # client's arrays raised the benchmark's peak RSS on ota-crowd (64
+    # clients) by 3.5 MB
+    mini_batch = scenario.train_cfg.batch_size != "full"
+    rngs = [streams.client(k) if mini_batch else None for k in range(len(datasets))]
     clients = [
         ClientState(ds, server.params, comp_mod.EncoderState.zeros(spec.dim), rng)
         for ds, rng in zip(datasets, rngs)
@@ -329,30 +347,50 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     block = max(1, LOSS_BLOCK_BYTES // (8 * population.size * width))
     records: list[RoundRecord] = []
     pending: list[tuple[RoundRecord, np.ndarray]] = []  # rounds whose loss waits
+    start_loss = None
+
+    def flush() -> None:
+        """Fill the pending rounds' losses; stop at the first that diverged."""
+        nonlocal start_loss
+        if not pending:
+            return
+        if start_loss is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                start_loss = models.global_loss(spec, start, population)
+        block_records = [rec for rec, _ in pending]
+        _fill_losses(spec, population, pending)
+        for rec in block_records:
+            loss = rec.global_loss
+            if not (math.isfinite(loss) and loss <= DIVERGENCE_FACTOR * start_loss):
+                del records[rec.round_index - 1 :]  # round t is records[t - 1]
+                raise _diverged(rec, start_loss)
+
     try:
         for _ in range(scenario.rounds):
             before = server.params
             rec = run_round(
                 server, clients, spec, scenario.train_cfg, scenario.round_cfg, streams
             )
-            if server.params is before and records and not pending:
+            records.append(rec)
+            if server.params is before and len(records) > 1 and not pending:
                 # the round before holds this array, and its loss is known
-                rec.global_loss = records[-1].global_loss
+                rec.global_loss = records[-2].global_loss
             else:
                 pending.append((rec, server.params))
             with np.errstate(over="ignore"):  # past about 1e154 the norm is inf
                 far = not np.linalg.norm(server.params) < radius
             if len(pending) == block or far:
-                _fill_losses(spec, population, pending)
-                if not math.isfinite(rec.global_loss):
-                    raise _diverged(rec.round_index)
-            records.append(rec)
+                flush()
+        flush()
     except ProtocolError as exc:
-        # the finished rounds, with their losses, are the evidence of a failed run
-        _fill_losses(spec, population, pending)
+        # the finished rounds, with their losses, are the evidence of a failed
+        # run; a pending round before the one that failed may have diverged
+        try:
+            flush()
+        except ProtocolError as earlier:
+            exc = earlier
         exc.records = records
-        raise
-    _fill_losses(spec, population, pending)
+        raise exc
     return records, ledger_of(records)
 
 
@@ -364,8 +402,6 @@ def _fill_losses(
     """Set the global loss of the pending (record, parameters) rounds from
     one `global_loss` call, then empty the list. Rounds that hold one array
     share its row of the block, so their losses are equal."""
-    if not pending:
-        return
     arrays = {id(w): w for _, w in pending}
     # an overflow shows as a non-finite loss, which stops the run
     with np.errstate(over="ignore", invalid="ignore"):

@@ -259,7 +259,7 @@ def sgd_local_update(
     w_start: np.ndarray,
     data: Dataset,
     cfg: TrainConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
     """Run `local_steps` mini-batch SGD steps from w_start in the per-step
     loop. `local_updates`, which a round calls, picks local SGD's form: on a
@@ -269,7 +269,7 @@ def sgd_local_update(
 
     Batches are drawn without replacement per epoch, reshuffled per epoch
     from the supplied generator, so the trajectory is reproducible. A full
-    batch draws nothing and steps on views of every row. w_start is never
+    batch draws nothing (rng may be None) and steps on views of every row. w_start is never
     written, so it may be a read-only array that many clients share: each
     step writes its result into the step's own new gradient array.
     """
@@ -398,13 +398,17 @@ def make_synthetic(partition: PartitionSpec, seed: int) -> Dataset:
     n_rows = sum(partition.sizes)
     X, y = np.empty((n_rows, p)), np.empty(n_rows)
     ends = np.cumsum(partition.sizes)[:-1]
+    # every draw is taken, so that no stream moves, but a zero shift or zero
+    # noise is not added: adding ±0.0 changes no nonzero value
     for rows, labels in zip(np.split(X, ends), np.split(y, ends)):
-        shift = partition.skew * rng.standard_normal(p)
+        shift = rng.standard_normal(p)
         rng.standard_normal(out=rows)
-        rows += shift
+        if partition.skew:
+            rows += partition.skew * shift
         z = rows @ w_star
         if partition.model.kind == LOGISTIC:  # binary labels
             labels[:] = rng.random(len(labels)) < _sigmoid(z)
         else:
-            labels[:] = z + partition.noise_std * rng.standard_normal(len(labels))
+            noise = rng.standard_normal(len(labels))
+            labels[:] = z + partition.noise_std * noise if partition.noise_std else z
     return Dataset(X, y)

@@ -275,8 +275,9 @@ def run_scenario(text):
 def traced_rounds(text):
     """Run a scenario and return it with one dict per round: the record, the
     ids that trained and that encoded in it, and per-client snapshots of the
-    encoder accumulators, generator state and local parameters before and
-    after it."""
+    encoder accumulators, generator state (None for a client without a
+    stream: a full batch draws none) and local parameters before and after
+    it."""
     train, encode, run_round = models.local_updates, C.encode, core.run_round
     rounds = []
     current = {}  # client id per dataset and per encoder, and the round's calls
@@ -286,7 +287,7 @@ def traced_rounds(text):
             k: (
                 c.encoder.momentum.tobytes(),
                 c.encoder.residual.tobytes(),
-                c.rng.bit_generator.state,
+                None if c.rng is None else c.rng.bit_generator.state,
                 c.local_params.copy(),
             )
             for k, c in enumerate(clients)
@@ -379,6 +380,27 @@ class TestRunTraining:
             f"seed = 1\nrounds = 3\nclients = {clients}\nfeatures = 3{extra}"
         )
         assert [r.participants for r in records] == [list(range(clients))] * 3
+
+    # a full batch draws no order in either form of local SGD: the loop
+    # (n > p) and the sample domain (n <= p, steps touch every row)
+    @pytest.mark.parametrize(
+        "shape",
+        ["features = 3", "features = 12\nclient_size = 8\nlocal_steps = 3"],
+        ids=["loop", "sample-domain"],
+    )
+    @pytest.mark.parametrize("batch", ["full", "4"])
+    def test_a_run_builds_client_streams_only_for_mini_batches(
+        self, monkeypatch, batch, shape
+    ):
+        client, built = core.RngStreams.client, []
+
+        def spy(streams, cid):
+            built.append(cid)
+            return client(streams, cid)
+
+        monkeypatch.setattr(core.RngStreams, "client", spy)
+        run_scenario(f"seed = 1\nrounds = 3\nclients = 5\nbatch = {batch}\n{shape}")
+        assert built == ([] if batch == "full" else [0, 1, 2, 3, 4])
 
     def test_channel_selection_builds_no_participation_stream(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -584,14 +606,19 @@ class TestSchedulingBeforeCompute:
     """The deadline and the over-the-air plan are settled before local
     training: a client the plan excludes does no local work."""
 
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 4), extra=st.integers(1, 8))
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 4),
+        extra=st.integers(1, 8),
+        batch=st.sampled_from(["full", "4"]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_excluded_clients_neither_train_nor_encode(self, seed, n, extra):
+    def test_excluded_clients_neither_train_nor_encode(self, seed, n, extra, batch):
         # more clients than antennas: the principal-direction beamformer
         # leaves out every client it cannot reach
         text = (
             f"seed = {seed}\nrounds = 2\nfeatures = 10\nclients = {n + extra}\n"
-            "client_size = 10\nbatch = 4\npayload = gradients\nsparsifier = topk\n"
+            f"client_size = 10\nbatch = {batch}\npayload = gradients\nsparsifier = topk\n"
             "rho = 0.2\nerror_feedback = true\nscheme = cs-over-the-air\n"
             f"measurements = 5\nantennas = {n}\npower_cap = 1e6\n"
         )
@@ -601,8 +628,10 @@ class TestSchedulingBeforeCompute:
             kept = sorted(set(range(n + extra)) - excluded)
             assert r["trained"] == r["encoded"] == kept
             for cid in excluded:
-                # momentum, residual and generator state are bit-equal
+                # momentum, residual and generator state are bit-equal; only
+                # a mini-batch client has a stream
                 assert r["after"][cid][:3] == r["before"][cid][:3]
+                assert (r["before"][cid][2] is None) == (batch == "full")
 
     def test_fallback_round_trains_every_survivor(self):
         # the cap is too tight for any client: the plan fails, nobody is left out

@@ -343,12 +343,13 @@ class TestSgdLocalUpdate:
         self, tmp_path, monkeypatch, capsys, sample_domain_calls
     ):
         # 20 rows of 40 features and three full-batch steps: the sample
-        # domain; at this step size the loss first overflows in round 32.
+        # domain; round 1 is off-schedule, and at this step size the local
+        # steps grow the parameters until the loss overflows in round 2.
         # A RuntimeWarning fails the suite, so neither form raises one
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
-            "client_size = 20\nlocal_steps = 3\nmu = 10\n"
+            "client_size = 20\nlocal_steps = 3\nperiod = 2\nmu = 1e30\n"
         )
 
         def per_step_round(spec, starts, datasets, cfg, rngs):
@@ -362,11 +363,11 @@ class TestSgdLocalUpdate:
             monkeypatch.setattr(models, "local_updates", train)
             assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
             errors.append(capsys.readouterr().err)
-        # four clients train in each of the 32 rounds, in the sample domain,
+        # four clients train in each of the 2 rounds, in the sample domain,
         # and only in the first run: the per-step run never reaches it
-        assert sum(len(clients) for clients in sample_domain_calls) == 4 * 32
+        assert sum(len(clients) for clients in sample_domain_calls) == 4 * 2
         assert errors[0] == errors[1]
-        assert errors[0].startswith("error: training diverged in round 32:")
+        assert errors[0].startswith("error: training diverged in round 2: non-finite")
 
 
 class TestInitialParams:
@@ -629,6 +630,19 @@ class TestMakeSynthetic:
             assert np.shares_memory(view.features, population.features)
             assert np.shares_memory(view.labels, population.labels)
         assert population.size == sum(sizes)
+
+    # zero label noise, as a zero shift, is drawn and not added: the oracle
+    # adds every term, so a skipped draw moves every later row (the test
+    # above covers nonzero noise at zero and nonzero skew)
+    @pytest.mark.parametrize("kind", [models.LINEAR, models.LOGISTIC, models.MLP])
+    @pytest.mark.parametrize("skew", [0.0, 0.8])
+    def test_zero_label_noise_keeps_every_draw(self, skew, kind):
+        model = models.ModelSpec(kind, 4, hidden=2 if kind == models.MLP else 0)
+        part = models.PartitionSpec([3, 7, 1, 5], model, noise_std=0.0, skew=skew)
+        population = models.make_synthetic(part, seed=5)
+        refs = per_client_synthetic(part, seed=5)
+        assert population.features.tobytes() == np.vstack([r.features for r in refs]).tobytes()
+        assert population.labels.tobytes() == np.concatenate([r.labels for r in refs]).tobytes()
 
     def test_population_is_read_only(self):
         part = models.PartitionSpec([3, 4], models.ModelSpec(models.LINEAR, 2))

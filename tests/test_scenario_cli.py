@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -204,6 +205,32 @@ def run_cli(args):
 
 BASE = "seed = 9\nrounds = 6\nclients = 5\nclient_size = 10\nfeatures = 8\nmu = 0.1\n"
 
+# a copy of the digital-dgc benchmark workload
+DIGITAL_DGC = """\
+seed = 0
+rounds = 300
+model = logistic
+features = 2000
+clients = 20
+client_size = 64
+mu = 0.01
+l2 = 0.01
+batch = 16
+local_steps = 5
+payload = gradients
+participation = 0.5
+deadline = 1.0
+delay_mean = 0.8
+delay_jitter = 0.4
+sparsifier = topk
+rho = 0.01
+warmup = 0.25,0.0625,0.015625
+quantizer = four-level
+error_feedback = true
+momentum = 0.9
+clip = 5
+"""
+
 
 class TestRunCommand:
     def test_zero_rounds_header_only(self, tmp_path, capsys):
@@ -321,7 +348,9 @@ class TestRunCommand:
                 assert sorted(aggregated + named, key=int) == ["0", "1", "2", "3", "4"]
 
     def test_divergence_exits_one_naming_the_round(self, tmp_path, capsys, monkeypatch):
-        # at this step size the linear model's loss first overflows in round 82
+        # round 1 is off-schedule and keeps the starting loss; in round 2 the
+        # server takes the mean of two huge local steps per client, and the
+        # linear model's loss overflows with finite parameters
         run_round = core.run_round
         calls = []
 
@@ -333,20 +362,22 @@ class TestRunCommand:
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 10\n"
-            "clients = 4\nclient_size = 20\nmu = 50\n"
+            "clients = 4\nclient_size = 20\nperiod = 2\nmu = 1e100\n"
         )
         out = tmp_path / "out"
         assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: training diverged in round 82")
+        assert err.count("\n") == 1 and err.startswith(
+            "error: training diverged in round 2: non-finite"
+        )
         # the run stops in the round whose loss overflows, not after it
-        assert calls == list(range(1, 83))
-        # the 81 finished rounds are left behind, with finite losses and
-        # without a summary
+        assert calls == [1, 2]
+        # the finished round is left behind, with a finite loss and without
+        # a summary
         for name in ("rounds.csv", "budget.csv"):
             with open(out / name, newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            assert [int(r["round"]) for r in rows] == list(range(1, 82))
+            assert [int(r["round"]) for r in rows] == [1]
         with open(out / "rounds.csv", newline="") as fh:
             losses = [float(r["global_loss"]) for r in csv.DictReader(fh)]
         assert all(math.isfinite(x) for x in losses)
@@ -354,16 +385,45 @@ class TestRunCommand:
         assert not (out / "summary.txt").exists()
 
     def test_overflowing_guard_norm_prints_only_the_error(self, tmp_path, capsys):
+        # round 1 is off-schedule and keeps the starting loss; in round 2
         # the parameters pass 1e154, where the norm of the overflow guard
-        # itself overflows, before the loss overflows in round 40
+        # itself overflows, and the loss overflows
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
-            "client_size = 20\nlocal_steps = 3\nmu = 5\n"
+            "client_size = 20\nlocal_steps = 3\nperiod = 2\nmu = 1e30\n"
         )
         assert run_cli(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: training diverged in round 40:")
+        assert err.count("\n") == 1 and err.startswith("error: training diverged in round 2:")
+
+    def test_a_loss_past_twice_its_start_exits_one_naming_the_round(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # digital-dgc's workload with a ten times larger step: its loss
+        # climbs from log 2 to more than twice that in round 45
+        text = DIGITAL_DGC.replace("mu = 0.01", "mu = 0.1")
+        f = tmp_path / "s.cfg"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        # the reference: the same rounds without the bound
+        sc = parse_scenario(text)
+        population = models.make_synthetic(sc.partition, sc.seed)
+        start = models.global_loss(sc.model_spec, np.zeros(sc.model_spec.dim), population)
+        monkeypatch.setattr(core, "DIVERGENCE_FACTOR", math.inf)
+        reference, _ = core.run_training(dataclasses.replace(sc, rounds=45))
+        losses = [r.global_loss for r in reference]
+        assert max(losses[:44]) <= 2 * start < losses[44]
+        assert err == (
+            f"error: training diverged in round 45: global loss {losses[44]:.6g} "
+            f"exceeds 2 times the starting loss {start:.6g}\n"
+        )
+        with open(out / "rounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["global_loss"]) for r in rows] == losses[:44]
+        assert not (out / "summary.txt").exists()
 
     def test_overflow_in_round_one_stops_at_the_round_check(
         self, tmp_path, capsys, monkeypatch

@@ -6,10 +6,16 @@ the keys that `_RELEVANT_ONLY_WITH` lets apply, so each file is one a user
 could write. A key without an entry in `SPACE` fails the strategy. Sizes stay
 small (at most 6 features and 6 clients, 1 to 3 rounds, m < d), so 150 files
 run twice each in about 2.5 s. `cli.main` reports an AirfedError as exit 1
-and lets any other exception escape; no file drawn here diverges, so each
-must exit 0. Some of them send nothing (every participant misses the
-deadline, or the threshold keeps no entry), and their summary reads
+and lets any other exception escape. A file drawn here exits 0, or exits 1
+because its loss climbed past `core.DIVERGENCE_FACTOR` times its starting
+loss (1 of 300 draws in one count, 0 in another), and then names the
+round after the last one it wrote. Some files send nothing (every
+participant misses the deadline, or the threshold keeps no entry), and
+their summary reads
 `communication_gain = undefined`.
+
+A property over longer runs with larger steps checks that a run stops
+exactly at its first round above that bound, and in no other case.
 
 Two metamorphic relations run on the same strategy: a file that writes the
 default text of some keys, where their `_RELEVANT_ONLY_WITH` rule lets them
@@ -19,15 +25,19 @@ apply, writes the same output files as the file without them; and so does
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from airfed import channel, cli, compression, core, models
-from airfed.scenario import _KEYS, _RELEVANT_ONLY_WITH
+from airfed.errors import ProtocolError
+from airfed.scenario import _KEYS, _RELEVANT_ONLY_WITH, parse_scenario
 
 OUTPUT_FILES = ("rounds.csv", "budget.csv", "events.csv", "summary.txt")
 
@@ -101,16 +111,16 @@ SPACE = {
 }
 
 
-def draw_texts(draw, defaulted=frozenset()) -> dict[str, str]:
+def draw_texts(draw, defaulted=frozenset(), space=SPACE) -> dict[str, str]:
     """A text for every key of `_KEYS`: its default text for the keys in
-    `defaulted`, and a draw from `SPACE` for the others."""
+    `defaulted`, and a draw from `space` for the others."""
     texts = {}
     for key in _KEYS:  # a KeyError here: a scenario key with no strategy
-        space = SPACE[key]
+        strategy = space[key]
         if key in defaulted:
             texts[key] = _KEYS[key][0]
         else:
-            texts[key] = draw(space(texts) if callable(space) else space)
+            texts[key] = draw(strategy(texts) if callable(strategy) else strategy)
     return texts
 
 
@@ -127,8 +137,8 @@ def file_text(texts: dict[str, str], omitted=frozenset()) -> str:
 
 
 @st.composite
-def scenario_files(draw) -> str:
-    return file_text(draw_texts(draw))
+def scenario_files(draw, space=SPACE) -> str:
+    return file_text(draw_texts(draw, space=space))
 
 
 @st.composite
@@ -159,11 +169,13 @@ def outcome(text: str, out: Path) -> tuple[int, dict[str, bytes]]:
     }
 
 
-def run(text: str, out: Path) -> dict[str, bytes]:
-    """The output files of a run on the text, which must exit 0."""
-    code, files = outcome(text, out)
-    assert code == 0 and files.keys() == set(OUTPUT_FILES)
-    return files
+def start_loss(text: str) -> float:
+    """L_0 of the file's run: the global loss at the server's starting
+    parameters, built as `core.run_training` builds them."""
+    sc = parse_scenario(text)
+    population = models.make_synthetic(sc.partition, sc.seed)
+    start = models.initial_params(sc.model_spec, core.RngStreams(sc.seed).init())
+    return models.global_loss(sc.model_spec, start, population)
 
 
 def test_every_scenario_key_has_a_strategy():
@@ -192,11 +204,26 @@ power_cap = 0.5
 @settings(max_examples=150, deadline=None)
 def test_consistent_files_run_and_their_outputs_agree(tmp_path_factory, text):
     base = tmp_path_factory.mktemp("run")
-    first = run(text, base / "a")
-    assert run(text, base / "b") == first, "a rerun wrote different bytes"
+    errors = []
+    for out in ("a", "b"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            errors.append((*outcome(text, base / out), err.getvalue()))
+    assert errors[1] == errors[0], "a rerun wrote different bytes"
+    code, first, err = errors[0]
 
     rounds = read_csv(base / "a" / "rounds.csv")
     budget = read_csv(base / "a" / "budget.csv")
+    # every finished round's loss is at most the bound; a run that exits 1
+    # names the next round, whose loss climbed past it
+    bound = core.DIVERGENCE_FACTOR * start_loss(text)
+    assert all(float(r["global_loss"]) <= bound for r in rounds)
+    if code == 1:
+        assert err.startswith(
+            f"error: training diverged in round {len(rounds) + 1}: global loss "
+        )
+        assert first.keys() == set(OUTPUT_FILES) - {"summary.txt"}
+        return
+    assert code == 0 and first.keys() == set(OUTPUT_FILES) and not err
     summary = dict(
         line.split(" = ") for line in first["summary.txt"].decode().splitlines()
     )
@@ -222,6 +249,35 @@ def test_consistent_files_run_and_their_outputs_agree(tmp_path_factory, text):
     assert math.isfinite(float(summary["final_loss"]))
 
 
+# longer runs with steps up to 4: many files climb past the bound, many do not
+CLIMBING = SPACE | {"rounds": ints(1, 8), "mu": grid(0, 4)}
+
+
+@given(scenario_files(CLIMBING))
+@settings(max_examples=150, deadline=None)
+def test_a_run_stops_exactly_at_its_first_round_above_the_bound(text):
+    sc = parse_scenario(text)
+    # the reference: the same run without the bound, which still stops at a
+    # non-finite loss
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DIVERGENCE_FACTOR", math.inf)
+        try:
+            reference, stop = core.run_training(sc)[0], None
+        except ProtocolError as exc:
+            reference, stop = exc.records, len(exc.records) + 1
+    bound = core.DIVERGENCE_FACTOR * start_loss(text)
+    above = [r.round_index for r in reference if r.global_loss > bound]
+    first = above[0] if above else stop
+    try:
+        records, _ = core.run_training(sc)
+    except ProtocolError as exc:
+        assert first is not None
+        assert str(exc).startswith(f"training diverged in round {first}:")
+        assert exc.records == reference[: first - 1]
+    else:
+        assert first is None and records == reference
+
+
 # A default is the value of an omitted key, so writing it changes nothing: not
 # the parse, not a draw, not a byte of output. Defaults make bigger runs (10
 # rounds, 10 features, 4 clients of 50 rows), and some make an invalid file
@@ -241,4 +297,5 @@ def test_period_one_is_no_period(tmp_path_factory, pair):
     with_period, without = pair
     assert "period = 1\n" in with_period and "period" not in without
     base = tmp_path_factory.mktemp("period")
-    assert run(with_period, base / "a") == run(without, base / "b")
+    # a run that climbs past the bound exits 1 the same way in both
+    assert outcome(with_period, base / "a") == outcome(without, base / "b")
