@@ -321,8 +321,7 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     before it. Each filled block is checked in round order: the first round
     whose loss is non-finite or exceeds DIVERGENCE_FACTOR times L_0 stops
     the run, which keeps the rounds before it. L_0, the loss at the server's
-    starting parameters, is evaluated once, in its own call at the first
-    block."""
+    starting parameters, is evaluated once, in set-up."""
     streams = RngStreams(scenario.seed)
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
@@ -330,7 +329,8 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     # the server broadcasts its starting parameters: every client shares them
     server = ServerState(models.initial_params(spec, streams.init()))
     server.params.flags.writeable = False
-    start = server.params
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_loss = models.global_loss(spec, server.params, population)
     # a full batch draws no order in either form of local SGD, so its clients
     # get no stream; streams before arrays: building each one between its
     # client's arrays raised the benchmark's peak RSS on ota-crowd (64
@@ -347,16 +347,11 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     block = max(1, LOSS_BLOCK_BYTES // (8 * population.size * width))
     records: list[RoundRecord] = []
     pending: list[tuple[RoundRecord, np.ndarray]] = []  # rounds whose loss waits
-    start_loss = None
 
     def flush() -> None:
         """Fill the pending rounds' losses; stop at the first that diverged."""
-        nonlocal start_loss
         if not pending:
             return
-        if start_loss is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                start_loss = models.global_loss(spec, start, population)
         block_records = [rec for rec, _ in pending]
         _fill_losses(spec, population, pending)
         for rec in block_records:

@@ -367,6 +367,8 @@ class TestRunTraining:
                 "\nscheme = over-the-air\nantennas = 4\npower_cap = 1e6\nsigma = 0",
                 id="RngStreams-noise-sigma-0",
             ),
+            # a full batch draws no batch order
+            pytest.param(core.RngStreams, "client", 3, "", id="RngStreams-client"),
         ],
     )
     def test_a_round_builds_no_stream_it_never_draws_from(
@@ -381,14 +383,18 @@ class TestRunTraining:
         )
         assert [r.participants for r in records] == [list(range(clients))] * 3
 
-    # a full batch draws no order in either form of local SGD: the loop
-    # (n > p) and the sample domain (n <= p, steps touch every row)
+    # a mini-batch run builds one stream per client, in either form of local
+    # SGD; a full batch draws no order in the sample domain either (n <= p,
+    # steps touch every row), as in the loop (the test above)
     @pytest.mark.parametrize(
-        "shape",
-        ["features = 3", "features = 12\nclient_size = 8\nlocal_steps = 3"],
-        ids=["loop", "sample-domain"],
+        "batch, shape",
+        [
+            ("full", "features = 12\nclient_size = 8\nlocal_steps = 3"),
+            ("4", "features = 3"),
+            ("4", "features = 12\nclient_size = 8\nlocal_steps = 3"),
+        ],
+        ids=["full-sample-domain", "mini-batch-loop", "mini-batch-sample-domain"],
     )
-    @pytest.mark.parametrize("batch", ["full", "4"])
     def test_a_run_builds_client_streams_only_for_mini_batches(
         self, monkeypatch, batch, shape
     ):

@@ -343,13 +343,15 @@ class TestSgdLocalUpdate:
         self, tmp_path, monkeypatch, capsys, sample_domain_calls
     ):
         # 20 rows of 40 features and three full-batch steps: the sample
-        # domain; round 1 is off-schedule, and at this step size the local
-        # steps grow the parameters until the loss overflows in round 2.
+        # domain; at this step size the loss first overflows in round 32.
+        # The loss bound is lifted so that the run reaches the overflow: the
+        # gradual growth is what tells the two forms' rounding apart.
         # A RuntimeWarning fails the suite, so neither form raises one
+        monkeypatch.setattr(core, "DIVERGENCE_FACTOR", math.inf)
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nrounds = 100\nmodel = linear\nfeatures = 40\nclients = 4\n"
-            "client_size = 20\nlocal_steps = 3\nperiod = 2\nmu = 1e30\n"
+            "client_size = 20\nlocal_steps = 3\nmu = 10\n"
         )
 
         def per_step_round(spec, starts, datasets, cfg, rngs):
@@ -363,11 +365,11 @@ class TestSgdLocalUpdate:
             monkeypatch.setattr(models, "local_updates", train)
             assert cli.main(["run", str(f), "--out", str(tmp_path / "out"), "--quiet"]) == 1
             errors.append(capsys.readouterr().err)
-        # four clients train in each of the 2 rounds, in the sample domain,
+        # four clients train in each of the 32 rounds, in the sample domain,
         # and only in the first run: the per-step run never reaches it
-        assert sum(len(clients) for clients in sample_domain_calls) == 4 * 2
+        assert sum(len(clients) for clients in sample_domain_calls) == 4 * 32
         assert errors[0] == errors[1]
-        assert errors[0].startswith("error: training diverged in round 2: non-finite")
+        assert errors[0].startswith("error: training diverged in round 32: non-finite")
 
 
 class TestInitialParams:

@@ -297,5 +297,15 @@ def test_period_one_is_no_period(tmp_path_factory, pair):
     with_period, without = pair
     assert "period = 1\n" in with_period and "period" not in without
     base = tmp_path_factory.mktemp("period")
-    # a run that climbs past the bound exits 1 the same way in both
-    assert outcome(with_period, base / "a") == outcome(without, base / "b")
+    results = []
+    for text, out in ((with_period, "a"), (without, "b")):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            results.append((*outcome(text, base / out), err.getvalue()))
+    assert results[1] == results[0]
+    code, files, err = results[0]
+    if code == 1:
+        # a run that climbs past the bound stops the same way in both
+        assert err.startswith("error: training diverged in round ")
+        assert files.keys() == set(OUTPUT_FILES) - {"summary.txt"}
+    else:
+        assert code == 0 and files.keys() == set(OUTPUT_FILES) and not err
