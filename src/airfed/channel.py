@@ -27,7 +27,7 @@ SCHEMES = (IDEAL_DIGITAL, OVER_THE_AIR, CS_OVER_THE_AIR)
 GAIN_EPS = 1e-9
 OMP_TOL = 1e-8  # residual norm at which matching pursuit stops
 # what the Gram domain resolves of a squared norm, relative to its scale
-GRAM_FLOOR = 64 * np.finfo(np.float64).eps
+GRAM_FLOOR = 64 * float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -182,17 +182,21 @@ class HartleyProjection:
         f = np.fft.fft(u)
         return np.tile(f.real, 2), np.tile(f.imag, 2)
 
+    @cached_property  # from signs, on first use, like `_spectrum`
+    def _sign_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """s and -s: column j's signs s_j s, picked by the sign of s_j."""
+        return self.signs, -self.signs
+
     def gram_column(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """A^T a_j, written into `out` when given. cas(a) cas(b) = cos(a - b)
         + sin(a + b), so summed over the rows, G[i, j] = s_i s_j (Re F[(i - j)
-        mod d] - Im F[(i + j) mod d]). Each sign is +-1, so the two sign
-        products are exact in either order."""
+        mod d] - Im F[(i + j) mod d]). Each sign is +-1, so one product by the
+        cached s_j s gives the bits of s_j * (s * x), signed zeros included."""
         d = self.signs.size
         re, im = self._spectrum
+        pos, neg = self._sign_pair
         out = np.subtract(re[d - j : 2 * d - j], im[j : j + d], out=out)
-        out *= self.signs
-        if self.signs[j] < 0:
-            np.negative(out, out=out)
+        out *= neg if self.signs[j] < 0 else pos
         return out
 
     def column_norms(self) -> np.ndarray:
@@ -226,7 +230,8 @@ def omp_recover(
     once, and a `HartleyProjection` its rows' indicator once, whatever the
     budget; the residual guard below adds at most one product A x. The step
     loop writes into buffers allocated once per call: `gram_column` fills
-    the new row of P in place.
+    the new row of P in place. A step's scalars are Python floats, which give
+    the IEEE results of numpy scalars at less call cost.
 
     A difference of squared norms keeps rounding of a few eps of the larger
     term, so below GRAM_FLOOR = 64 eps of it (a norm below ~sqrt(eps) of
@@ -243,7 +248,7 @@ def omp_recover(
         norms = np.linalg.norm(A, axis=0)
     else:
         gram_column, c, norms = A.gram_column, A.rmatvec(y), A.column_norms()
-    sq_norms = norms**2
+    sq_norms = (norms**2).tolist()  # Python floats: a step's scalars stay off numpy
     norms[norms == 0] = 1.0
     budget = min(sparsity, m, d)
     P = np.empty((budget, d))  # row i: A^T q_i
@@ -269,9 +274,9 @@ def omp_recover(
         np.abs(c, out=scores)
         scores /= norms
         scores[support[:k]] = -1.0
-        j = int(np.argmax(scores))
+        j = int(scores.argmax())
         r = P[:k, j]  # a strided view: a contiguous copy rounds differently
-        r_kk_sq = sq_norms[j] - r @ r
+        r_kk_sq = sq_norms[j] - float(r @ r)
         if r_kk_sq <= GRAM_FLOOR * sq_norms[j]:
             break
         r_kk = math.sqrt(r_kk_sq)
@@ -280,9 +285,9 @@ def omp_recover(
         row /= r_kk
         R[:k, k] = r
         R[k, k] = r_kk
-        beta[k] = b = c[j] / r_kk
+        beta[k] = b = float(c[j]) / r_kk
         c -= np.multiply(row, b, out=step)
-        res_sq -= b**2
+        res_sq -= b * b
         support[k] = j
         k += 1
     return fit(k)

@@ -124,9 +124,7 @@ def cmd_compare(args) -> int:
     first = scenarios[0]
     # the parsed problem must agree, however each file spells it
     for path, sc in zip(args.scenario[1:], scenarios[1:]):
-        for name in (
-            "model_spec", "partition", "train_cfg", "rounds", "seed", "loss_threshold"
-        ):
+        for name in ("partition", "train_cfg", "rounds", "seed", "loss_threshold"):
             if getattr(sc, name) != getattr(first, name):
                 raise AirfedError(
                     f"scenario {path} differs from {args.scenario[0]} in `{name}`"

@@ -162,12 +162,17 @@ def topk_indices(g: np.ndarray, rho: float) -> np.ndarray:
     """Indices of the k = kept_count(rho, d) largest-|g| entries, rho in (0, 1]
     as `CodecSpec` and `RoundConfig` ensure, ties to the lower index, sorted
     ascending. NaN ranks below every number. Linear time: a partition finds the
-    k-th key, every entry strictly above it is kept, and the lowest-index
-    entries equal to it fill the rest."""
+    k-th key. When it is a number that no other entry ties, the k entries at
+    or above it are the answer. Otherwise every entry strictly above it is
+    kept, and the lowest-index entries equal to it fill the rest."""
     d = g.size
     k = kept_count(rho, d)
-    key = -np.abs(g)  # ascending key; np.partition puts NaN last
+    key = np.abs(g)
+    np.negative(key, out=key)  # ascending key; np.partition puts NaN last
     kth = np.partition(key, k - 1)[k - 1]
+    top = np.flatnonzero(key <= kth)  # NaN compares false: empty when kth is NaN
+    if top.size == k:
+        return top
     if np.isnan(kth):  # fewer than k numbers: all of them, then NaNs
         tied = np.isnan(key)
         keep = ~tied

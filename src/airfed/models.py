@@ -381,7 +381,7 @@ class PartitionSpec:
         if not self.sizes:
             raise ConfigurationError("sizes must list at least one client")
         if any(s < 1 for s in self.sizes):
-            raise ConfigurationError("every client size must be >= 1")
+            raise ConfigurationError("`sizes`: every size must be >= 1")
 
     @property
     def n_clients(self) -> int:

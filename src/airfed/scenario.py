@@ -18,13 +18,17 @@ from .errors import ConfigurationError
 
 @dataclass
 class Scenario:
-    model_spec: models.ModelSpec
     partition: models.PartitionSpec
     train_cfg: models.TrainConfig
     round_cfg: core.RoundConfig
     rounds: int
     seed: int
     loss_threshold: float | None
+
+    @property
+    def model_spec(self) -> models.ModelSpec:
+        """The model the partition's data is made for."""
+        return self.partition.model
 
 
 class ScenarioError(ConfigurationError):
@@ -205,8 +209,6 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     sizes = v["sizes"] or (v["client_size"],) * v["clients"]
     if len(sizes) != v["clients"]:
         raise _invalid("sizes", "must list one size per client")
-    if min(sizes) < 1:
-        raise _invalid("sizes", "every size must be >= 1")
     partition = _build(
         "partition",
         models.PartitionSpec,
@@ -259,9 +261,7 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
         delay_jitter=v["delay_jitter"],
     )
 
-    return Scenario(
-        model_spec, partition, train_cfg, round_cfg, v["rounds"], v["seed"], v["loss_threshold"]
-    )
+    return Scenario(partition, train_cfg, round_cfg, v["rounds"], v["seed"], v["loss_threshold"])
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:

@@ -451,15 +451,17 @@ class TestHartleyProjection:
     @settings(max_examples=100, deadline=None)
     def test_gram_column_into_a_buffer(self, op):
         # the sign products are exact, so their order leaves every bit,
-        # the sign of a zero included; d = 8 puts exact zeros in the Gram
+        # the sign of a zero included; d = 8 puts exact zeros in the Gram.
+        # A copy with flipped signs must build its own cached sign pair.
         d = op.shape[1]
-        re, im = op._spectrum
         buf = np.empty(d)
-        for j in range(d):
-            want = op.signs[j] * op.signs * (re[d - j : 2 * d - j] - im[j : j + d])
-            assert op.gram_column(j, out=buf) is buf
-            assert_same_bits(buf, want)
-            assert_same_bits(op.gram_column(j), want)
+        for current in (op, dataclasses.replace(op, signs=-op.signs)):
+            re, im = current._spectrum
+            for j in range(d):
+                want = current.signs[j] * current.signs * (re[d - j : 2 * d - j] - im[j : j + d])
+                assert current.gram_column(j, out=buf) is buf
+                assert_same_bits(buf, want)
+                assert_same_bits(current.gram_column(j), want)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -847,9 +849,11 @@ class TestOmp:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_matches_the_oracle_at_the_workload_shape(self):
-        # cs-recovery: d = 1000, m = 200 and a budget of about 57 flat entries
-        d, m, budget = 1000, 200, 57
+    @pytest.mark.parametrize("budget", [20, 45, 57, 65])
+    def test_matches_the_oracle_at_the_workload_shape(self, budget):
+        # cs-recovery: d = 1000, m = 200 and budgets of 45 to 65 flat entries
+        # (about 57 on average); 20 is the cap that ROADMAP item 3 proposes
+        d, m = 1000, 200
         rng = np.random.default_rng(2)
         op = ch.measurement_matrix(d, m, 2)
         A = dense_form(op)

@@ -726,6 +726,11 @@ ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
             "n_features must be >= 1",
             id="partition-features",
         ),
+        pytest.param(
+            lambda: models.PartitionSpec([3, 0], models.ModelSpec(models.LINEAR, 2)),
+            "`sizes`: every size must be >= 1",
+            id="partition-sizes",
+        ),
     ],
 )
 def test_invalid_input_raises_its_message(call, message):
