@@ -84,14 +84,14 @@ class CodecSpec:
             raise ConfigurationError(f"unknown sparsifier {self.sparsifier!r}")
         if self.quantizer not in QUANTIZERS:
             raise ConfigurationError(f"unknown quantizer {self.quantizer!r}")
-        if self.sparsifier == SPARSIFIER_THRESHOLD and self.threshold < 0:
-            raise ConfigurationError("threshold must be >= 0")
+        if self.sparsifier == SPARSIFIER_THRESHOLD and not (0 <= self.threshold < math.inf):
+            raise ConfigurationError("threshold must be finite and >= 0")
         if self.sparsifier == SPARSIFIER_TOPK and not (0 < self.keep_fraction <= 1):
             raise ConfigurationError("keep_fraction must be in (0, 1]")
         if not (0 <= self.momentum < 1):
             raise ConfigurationError("momentum must be in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigurationError("clip_norm must be > 0")
+        if self.clip_norm is not None and not (0 < self.clip_norm < math.inf):
+            raise ConfigurationError("clip_norm must be finite and > 0")
         if self.warmup is not None and (
             not self.warmup or any(not (0 < r <= 1) for r in self.warmup)
         ):

@@ -166,23 +166,21 @@ def format_ids(client_ids) -> str:
 DIVERGENCE_FACTOR = 2.0
 
 
-def _diverged(rec: RoundRecord, start_loss: float = math.nan) -> ProtocolError:
+def _diverged(
+    rec: RoundRecord, records: list[RoundRecord], start_loss: float = math.nan
+) -> ProtocolError:
+    """The error that stops a run in `rec`'s round. It carries `records`,
+    trimmed in place to the rounds before it, as `exc.records`."""
     why = "non-finite server parameters or global loss"
     if math.isfinite(rec.global_loss):
         why = (
             f"global loss {rec.global_loss:.6g} exceeds {DIVERGENCE_FACTOR:g} times "
             f"the starting loss {start_loss:.6g}"
         )
-    return ProtocolError(f"training diverged in round {rec.round_index}: {why}")
-
-
-def _finish(rec: RoundRecord, server: ServerState) -> RoundRecord:
-    """Close the round: advance the server clock. Non-finite parameters
-    mean training diverged: stop the run."""
-    server.round_index = rec.round_index
-    if not np.all(np.isfinite(server.params)):
-        raise _diverged(rec)
-    return rec
+    del records[rec.round_index - 1 :]  # round t is records[t - 1]
+    exc = ProtocolError(f"training diverged in round {rec.round_index}: {why}")
+    exc.records = records
+    return exc
 
 
 def _train(chosen: list[ClientState], spec: models.ModelSpec, cfg: models.TrainConfig) -> None:
@@ -210,13 +208,14 @@ def run_round(
     the round's channel. After an uplink every client shares the server's
     new parameters, which are read-only. The round does not evaluate the
     global loss: a caller other than `run_training` gets `global_loss = nan`
-    and evaluates `models.global_loss` over the clients' data itself."""
-    t = server.round_index + 1
+    and evaluates `models.global_loss` over the clients' data itself. A
+    round never raises for divergence: `run_training` checks each round."""
+    t = server.round_index = server.round_index + 1
     rec = RoundRecord(round_index=t, scheme=cfg.scheme.kind)
 
     if t % cfg.period != 0:
         _train(clients, model_spec, train_cfg)  # off-schedule: local progress only
-        return _finish(rec, server)
+        return rec
 
     realization = None
     if cfg.scheme.analog or cfg.selection == SELECT_CHANNEL:
@@ -280,7 +279,7 @@ def run_round(
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, c.dataset.size))
     if not survivors:
         rec.events.append(("protocol-error", "all clients missed the deadline"))
-        return _finish(rec, server)
+        return rec
 
     noisy = scheme.analog and cfg.noise_std > 0
     result = ch_mod.transmit_round(
@@ -301,7 +300,7 @@ def run_round(
     rec.uplink_uses = result.channel_uses
     rec.uplink_bits = result.bits_equivalent
     rec.downlink_bits = server.params.size * comp_mod.FLOAT_BITS
-    return _finish(rec, server)
+    return rec
 
 
 # bytes of the (population size × block) temporaries of one global-loss block
@@ -318,10 +317,11 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     LOSS_BLOCK_BYTES of (population size × block) temporaries. A round
     whose parameters may overflow the loss (they fail the
     `models.finite_loss_radius` test) is evaluated at once, with the block
-    before it. Each filled block is checked in round order: the first round
-    whose loss is non-finite or exceeds DIVERGENCE_FACTOR times L_0 stops
-    the run, which keeps the rounds before it. L_0, the loss at the server's
-    starting parameters, is evaluated once, in set-up."""
+    before it. This is the one place that stops a run, in the first round
+    whose parameters or loss are non-finite or whose loss exceeds
+    DIVERGENCE_FACTOR times L_0; the `ProtocolError` carries the rounds
+    before it as `exc.records`. L_0, the loss at the server's starting
+    parameters, is evaluated once, in set-up."""
     streams = RngStreams(scenario.seed)
     population = models.make_synthetic(scenario.partition, scenario.seed)
     datasets = population.split(scenario.partition.sizes)
@@ -349,62 +349,41 @@ def run_training(scenario) -> tuple[list[RoundRecord], BudgetLedger]:
     pending: list[tuple[RoundRecord, np.ndarray]] = []  # rounds whose loss waits
 
     def flush() -> None:
-        """Fill the pending rounds' losses; stop at the first that diverged."""
+        """Fill the pending rounds' losses from one `global_loss` call, then
+        check them in round order and stop at the first that diverged.
+        Rounds that hold one array share its row of the block."""
         if not pending:
             return
-        block_records = [rec for rec, _ in pending]
-        _fill_losses(spec, population, pending)
-        for rec in block_records:
-            loss = rec.global_loss
+        arrays = {id(w): w for _, w in pending}
+        # an overflow shows as a non-finite loss, which stops the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = models.global_loss(spec, np.stack(list(arrays.values())), population)
+        row = dict(zip(arrays, losses.tolist()))
+        for rec, w in pending:
+            rec.global_loss = loss = row[id(w)]
             if not (math.isfinite(loss) and loss <= DIVERGENCE_FACTOR * start_loss):
-                del records[rec.round_index - 1 :]  # round t is records[t - 1]
-                raise _diverged(rec, start_loss)
+                raise _diverged(rec, records, start_loss)
+        pending.clear()
 
-    try:
-        for _ in range(scenario.rounds):
-            before = server.params
-            rec = run_round(
-                server, clients, spec, scenario.train_cfg, scenario.round_cfg, streams
-            )
-            records.append(rec)
-            if server.params is before and len(records) > 1 and not pending:
-                # the round before holds this array, and its loss is known
-                rec.global_loss = records[-2].global_loss
-            else:
-                pending.append((rec, server.params))
-            with np.errstate(over="ignore"):  # past about 1e154 the norm is inf
-                far = not np.linalg.norm(server.params) < radius
-            if len(pending) == block or far:
-                flush()
-        flush()
-    except ProtocolError as exc:
-        # the finished rounds, with their losses, are the evidence of a failed
-        # run; a pending round before the one that failed may have diverged
-        try:
+    for _ in range(scenario.rounds):
+        before = server.params
+        rec = run_round(server, clients, spec, scenario.train_cfg, scenario.round_cfg, streams)
+        # a non-finite vector's norm is inf or nan, so it is `far` too
+        with np.errstate(over="ignore"):  # past about 1e154 the norm is inf
+            far = not np.linalg.norm(server.params) < radius
+        if far and not np.all(np.isfinite(server.params)):
+            flush()  # a pending round may have diverged first
+            raise _diverged(rec, records)
+        records.append(rec)
+        if server.params is before and len(records) > 1 and not pending:
+            # the round before holds this array, and its loss is known
+            rec.global_loss = records[-2].global_loss
+        else:
+            pending.append((rec, server.params))
+        if len(pending) == block or far:
             flush()
-        except ProtocolError as earlier:
-            exc = earlier
-        exc.records = records
-        raise exc
+    flush()
     return records, ledger_of(records)
-
-
-def _fill_losses(
-    spec: models.ModelSpec,
-    population: models.Dataset,
-    pending: list[tuple[RoundRecord, np.ndarray]],
-) -> None:
-    """Set the global loss of the pending (record, parameters) rounds from
-    one `global_loss` call, then empty the list. Rounds that hold one array
-    share its row of the block, so their losses are equal."""
-    arrays = {id(w): w for _, w in pending}
-    # an overflow shows as a non-finite loss, which stops the run
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = models.global_loss(spec, np.stack(list(arrays.values())), population)
-    row = dict(zip(arrays, losses.tolist()))
-    for rec, w in pending:
-        rec.global_loss = row[id(w)]
-    pending.clear()
 
 
 def ledger_of(records: list[RoundRecord]) -> BudgetLedger:

@@ -95,8 +95,8 @@ class ModelSpec:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if self.n_features < 1:
             raise ConfigurationError("n_features must be >= 1")
-        if self.l2 < 0:
-            raise ConfigurationError("l2 must be >= 0")
+        if not (0 <= self.l2 < math.inf):
+            raise ConfigurationError("l2 must be finite and >= 0")
         if self.kind == MLP and self.hidden < 1:
             raise ConfigurationError("mlp requires hidden width >= 1")
 

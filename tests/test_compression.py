@@ -417,7 +417,7 @@ class TestCompressionRatio:
         ),
         pytest.param(
             lambda: C.CodecSpec(C.SPARSIFIER_THRESHOLD, threshold=-1.0),
-            "threshold must be >= 0",
+            "threshold must be finite and >= 0",
             id="threshold",
         ),
         pytest.param(
@@ -425,7 +425,9 @@ class TestCompressionRatio:
             "keep_fraction must be in",
             id="keep-fraction",
         ),
-        pytest.param(lambda: C.CodecSpec(clip_norm=0.0), "clip_norm must be > 0", id="clip"),
+        pytest.param(
+            lambda: C.CodecSpec(clip_norm=0.0), "clip_norm must be finite and > 0", id="clip"
+        ),
         pytest.param(
             lambda: C.CodecSpec(C.SPARSIFIER_TOPK, keep_fraction=1.5),
             "keep_fraction must be in (0, 1]",

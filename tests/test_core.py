@@ -501,20 +501,35 @@ class TestRunTraining:
         for i in shared:
             assert records[i].global_loss == records[i - 1].global_loss
 
-    def test_failed_run_leaves_its_rounds_with_losses(self, monkeypatch):
+    @staticmethod
+    def nan_after_round(t, monkeypatch):
+        """Make round `t` leave NaN server parameters."""
         run_round = core.run_round
 
-        def fail_in_round_6(server, *args):
-            if server.round_index == 5:
-                raise ProtocolError("round 6 failed")
-            return run_round(server, *args)
+        def spy(server, *args):
+            rec = run_round(server, *args)
+            if rec.round_index == t:
+                server.params = np.full_like(server.params, math.nan)
+            return rec
 
-        monkeypatch.setattr(core, "run_round", fail_in_round_6)
-        with pytest.raises(ProtocolError, match="round 6 failed") as info:
+        monkeypatch.setattr(core, "run_round", spy)
+
+    def test_failed_run_leaves_its_rounds_with_losses(self, monkeypatch):
+        self.nan_after_round(6, monkeypatch)
+        with pytest.raises(ProtocolError, match="round 6: non-finite") as info:
             run_scenario("seed = 2\nrounds = 9\nfeatures = 3\nclients = 2")
         records = info.value.records
         assert [r.round_index for r in records] == [1, 2, 3, 4, 5]
         assert all(math.isfinite(r.global_loss) for r in records)
+
+    def test_a_pending_round_that_diverged_first_stops_the_run(self, monkeypatch):
+        # every loss exceeds 0 times the start, so round 1 diverged; it waits
+        # in the same loss block as round 4, whose parameters are NaN
+        monkeypatch.setattr(core, "DIVERGENCE_FACTOR", 0.0)
+        self.nan_after_round(4, monkeypatch)
+        with pytest.raises(ProtocolError, match="round 1: global loss") as info:
+            run_scenario("seed = 2\nrounds = 9\nfeatures = 3\nclients = 2")
+        assert info.value.records == []
 
     def test_a_direct_round_leaves_the_loss_unset(self):
         spec = models.ModelSpec(models.LINEAR, 2)
@@ -819,6 +834,15 @@ OWNED_RANGES = {
     ),
     "warmup": (lambda x: C.CodecSpec(C.SPARSIFIER_TOPK, warmup=(0.5, x)), FLOATS, in_unit),
     "n_features": (lambda n: models.ModelSpec(models.LINEAR, n), COUNTS, lambda n: n >= 1),
+    "l2": (
+        lambda x: models.ModelSpec(models.LINEAR, 2, l2=x), FLOATS, lambda x: 0 <= x < math.inf
+    ),
+    "threshold": (
+        lambda x: C.CodecSpec(C.SPARSIFIER_THRESHOLD, threshold=x),
+        FLOATS,
+        lambda x: 0 <= x < math.inf,
+    ),
+    "clip_norm": (lambda x: C.CodecSpec(clip_norm=x), FLOATS, lambda x: 0 < x < math.inf),
 }
 
 

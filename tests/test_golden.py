@@ -19,8 +19,9 @@ change that must keep every output byte is checked against its parent with
 which runs every case at seeds 7 and 11 with the parent's src and with this
 tree, at one BLAS thread, and prints the cells that differ at all: per
 moved column the number of moved cells, the first one, and for a float
-column the largest relative change, and exits 1 when any column moved, so
-a script can stop on it. REV is a directory that holds a checkout of the
+column the largest relative change, then the line count of src/airfed
+(`wc -l`) before and after, and exits 1 when any column moved, so a
+script can stop on it. REV is a directory that holds a checkout of the
 parent, or else a git revision such as HEAD~1, whose src is extracted (`git
 archive`) into a temporary directory.
 """
@@ -233,21 +234,27 @@ def regen(names: list[str]) -> None:
 def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> int:
     """Run every case at each seed with `checkout`/src and with this tree,
     each in its own process at one BLAS thread, list per case and seed the
-    cells that differ at all (`moved` at rtol 0), and return the number of
-    moved columns over all cases and seeds."""
+    cells that differ at all (`moved` at rtol 0), then the line count of
+    each side's src/airfed, and return the number of moved columns over all
+    cases and seeds."""
     total = 0
+    old_src, new_src = checkout.resolve() / "src", ROOT / "src"
     for name in sorted(CASES):
         for seed in seeds:
-            old, new = (
-                outputs_at_blas_threads(name, 1, seed, src)
-                for src in (checkout.resolve() / "src", ROOT / "src")
-            )
+            old, new = (outputs_at_blas_threads(name, 1, seed, src) for src in (old_src, new_src))
             changes = moved(old, new, rtol=0.0)
             print(f"{name} seed {seed}: {len(changes)} columns moved")
             for line in changes:
                 print(f"  {line}")
             total += len(changes)
+    print(f"src/airfed: {src_lines(old_src)} -> {src_lines(new_src)} lines")
     return total
+
+
+def src_lines(src: Path) -> int:
+    """The lines of the program's modules under `src`, as `wc -l` counts
+    them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "airfed").glob("*.py"))
 
 
 @contextmanager
@@ -277,7 +284,10 @@ def against_revision(where: str) -> int:
 def test_against_a_checkout_lists_what_moved(monkeypatch, capsys):
     monkeypatch.setattr(sys.modules[__name__], "CASES", {"baseline": CASES["baseline"]})
     assert against(ROOT, seeds=(SEED,)) == 0
-    assert capsys.readouterr().out == f"baseline seed {SEED}: 0 columns moved\n"
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src/airfed").glob("*.py"))
+    assert capsys.readouterr().out == (
+        f"baseline seed {SEED}: 0 columns moved\nsrc/airfed: {lines} -> {lines} lines\n"
+    )
 
 
 def test_against_exits_1_when_a_column_moved(monkeypatch, capsys):
@@ -285,10 +295,11 @@ def test_against_exits_1_when_a_column_moved(monkeypatch, capsys):
     monkeypatch.setattr(module, "CASES", {"baseline": CASES["baseline"]})
     monkeypatch.setattr(module, "moved", lambda want, got, rtol: ["summary.txt:rounds moved"])
     assert main(["--against", str(ROOT)]) == 1
+    lines = src_lines(ROOT / "src")
     assert capsys.readouterr().out == "".join(
         f"baseline seed {seed}: 1 columns moved\n  summary.txt:rounds moved\n"
         for seed in (SEED, 11)
-    )
+    ) + f"src/airfed: {lines} -> {lines} lines\n"
 
 
 @pytest.mark.skipif(

@@ -686,7 +686,7 @@ ONE_ROW = models.Dataset(np.ones((1, 2)), np.ones(1))
         pytest.param(lambda: models.ModelSpec("tree", 2), "unknown model kind 'tree'", id="kind"),
         pytest.param(
             lambda: models.ModelSpec(models.LINEAR, 2, l2=-1.0),
-            "l2 must be >= 0",
+            "l2 must be finite and >= 0",
             id="l2",
         ),
         pytest.param(

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed import cli, core, models
-from airfed.errors import ProtocolError
 from airfed.scenario import _KEYS, ScenarioError, parse_scenario
 
 # values a scenario key may take: defaults, keywords, numbers of every kind
@@ -429,18 +428,16 @@ class TestRunCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         # at this step size the first local step overflows the parameters,
-        # so `core._finish` stops the run before any loss is evaluated; at
-        # mu = 1e300 they stay finite, and the loss check stops it instead
-        finish, raised = core._finish, []
+        # so the parameter check stops the run before any loss block: the
+        # one loss evaluated is L_0, in set-up; at mu = 1e300 they stay
+        # finite, and the loss check stops it instead
+        global_loss, calls = models.global_loss, []
 
-        def spy(rec, server):
-            try:
-                return finish(rec, server)
-            except ProtocolError as exc:
-                raised.append(f"error: {exc}\n")
-                raise
+        def spy(*args):
+            calls.append(args)
+            return global_loss(*args)
 
-        monkeypatch.setattr(core, "_finish", spy)
+        monkeypatch.setattr(models, "global_loss", spy)
         f = tmp_path / "s.cfg"
         f.write_text(
             "seed = 3\nmodel = linear\nfeatures = 10\nclients = 4\n"
@@ -450,8 +447,10 @@ class TestRunCommand:
         with np.errstate(all="ignore"):
             assert run_cli(["run", str(f), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: training diverged in round 1:")
-        assert raised == [err]
+        assert err == (
+            "error: training diverged in round 1: non-finite server parameters or global loss\n"
+        )
+        assert len(calls) == 1
         header = ",".join(h for h, _ in cli.ROUNDS_COLUMNS)
         assert (out / "rounds.csv").read_text().splitlines() == [header]
         assert not (out / "summary.txt").exists()
