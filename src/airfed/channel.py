@@ -153,7 +153,7 @@ class HartleyProjection:
     """Structurally random projection A = S H D (Do, Gan, Nguyen & Tran,
     arXiv 1106.5037): D flips the signs of the d columns, H is the real
     Hartley transform and S keeps m distinct rows. A product costs one FFT,
-    and so does the whole Gram matrix A^T A (see `gram_column`).
+    and so does the whole Gram matrix of S H (see `gram_column`).
     Not scaled by 1/sqrt(m): cas entries have unit mean square, as N(0, 1)
     entries do, so column norms stay about sqrt(m)."""
 
@@ -182,22 +182,14 @@ class HartleyProjection:
         f = np.fft.fft(u)
         return np.tile(f.real, 2), np.tile(f.imag, 2)
 
-    @cached_property  # from signs, on first use, like `_spectrum`
-    def _sign_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """s and -s: column j's signs s_j s, picked by the sign of s_j."""
-        return self.signs, -self.signs
-
     def gram_column(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        """A^T a_j, written into `out` when given. cas(a) cas(b) = cos(a - b)
-        + sin(a + b), so summed over the rows, G[i, j] = s_i s_j (Re F[(i - j)
-        mod d] - Im F[(i + j) mod d]). Each sign is +-1, so one product by the
-        cached s_j s gives the bits of s_j * (s * x), signed zeros included."""
+        """Column j of the Gram matrix of B = S H, written into `out` when
+        given; A's column A^T a_j is s_j s times it, as A = B D. cas(a) cas(b)
+        = cos(a - b) + sin(a + b), so summed over the rows, entry i is Re F[(i
+        - j) mod d] - Im F[(i + j) mod d]: one subtraction of two slices."""
         d = self.signs.size
         re, im = self._spectrum
-        pos, neg = self._sign_pair
-        out = np.subtract(re[d - j : 2 * d - j], im[j : j + d], out=out)
-        out *= neg if self.signs[j] < 0 else pos
-        return out
+        return np.subtract(re[d - j : 2 * d - j], im[j : j + d], out=out)
 
     def column_norms(self) -> np.ndarray:
         """Exact norms: G's diagonal is ||a_j||^2 = m - Im F[2j mod d]. A
@@ -228,10 +220,14 @@ def omp_recover(
     ||y||^2 - sum (q_i^T y)^2, and extends them by one Gram column A^T a_j
     per step; R x = Q^T y is solved once, at the end. So a call transforms y
     once, and a `HartleyProjection` its rows' indicator once, whatever the
-    budget; the residual guard below adds at most one product A x. The step
+    budget; the residual guard below adds at most one product A x. On A =
+    B D the loop runs on B = S H, from c = s * A^T y = B^T y, and fit applies
+    the signs s: products by +-1 are exact, so no pick or bit moves. The step
     loop writes into buffers allocated once per call: `gram_column` fills
-    the new row of P in place. A step's scalars are Python floats, which give
-    the IEEE results of numpy scalars at less call cost.
+    the new row of P in place. A pick leaves the search by one store, an
+    infinite norm that scores it 0: it repeats only when no other column
+    correlates with the residual (or c is NaN), and then stops the search.
+    A step's scalars are Python floats, numpy's IEEE results at less cost.
 
     A difference of squared norms keeps rounding of a few eps of the larger
     term, so below GRAM_FLOOR = 64 eps of it (a norm below ~sqrt(eps) of
@@ -246,8 +242,8 @@ def omp_recover(
     if isinstance(A, np.ndarray):
         gram_column, c = lambda j, out: np.matmul(A.T, A[:, j], out=out), A.T @ y
         norms = np.linalg.norm(A, axis=0)
-    else:
-        gram_column, c, norms = A.gram_column, A.rmatvec(y), A.column_norms()
+    else:  # B = S H: s * A^T y = B^T y
+        gram_column, c, norms = A.gram_column, A.signs * A.rmatvec(y), A.column_norms()
     sq_norms = (norms**2).tolist()  # Python floats: a step's scalars stay off numpy
     norms[norms == 0] = 1.0
     budget = min(sparsity, m, d)
@@ -260,6 +256,8 @@ def omp_recover(
     def fit(s: int) -> np.ndarray:
         x = np.zeros(d)
         x[support[:s]] = np.linalg.solve(R[:s, :s], beta[:s])
+        if not isinstance(A, np.ndarray):  # B's coefficients times D's signs
+            x[support[:s]] *= A.signs[support[:s]]
         return x
 
     res_sq = float(y @ y)
@@ -273,22 +271,22 @@ def omp_recover(
             break
         np.abs(c, out=scores)
         scores /= norms
-        scores[support[:k]] = -1.0
         j = int(scores.argmax())
-        r = P[:k, j]  # a strided view: a contiguous copy rounds differently
+        Pk = P[:k]
+        r = Pk[:, j]  # a strided view: a contiguous copy rounds differently
         r_kk_sq = sq_norms[j] - float(r @ r)
         if r_kk_sq <= GRAM_FLOOR * sq_norms[j]:
             break
         r_kk = math.sqrt(r_kk_sq)
         row = gram_column(j, out=P[k])
-        row -= np.dot(r, P[:k], out=step)  # the gemv of r @ P[:k], called more cheaply
+        row -= np.dot(r, Pk, out=step)  # the gemv of r @ P[:k], called more cheaply
         row /= r_kk
         R[:k, k] = r
         R[k, k] = r_kk
         beta[k] = b = float(c[j]) / r_kk
         c -= np.multiply(row, b, out=step)
         res_sq -= b * b
-        support[k] = j
+        support[k], norms[j] = j, math.inf  # the pick scores 0 from now on
         k += 1
     return fit(k)
 

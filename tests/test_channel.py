@@ -425,7 +425,9 @@ class TestHartleyProjection:
         scale = np.max(np.abs(A.T @ r))
         np.testing.assert_allclose(op.rmatvec(r), A.T @ r, rtol=0, atol=1e-12 * scale)
         for j in range(d):
-            np.testing.assert_allclose(op.gram_column(j), A.T @ A[:, j], rtol=0, atol=1e-12 * m)
+            # A = B D: A's Gram column is s_j s times B's
+            signed = op.signs[j] * op.signs * op.gram_column(j)
+            np.testing.assert_allclose(signed, A.T @ A[:, j], rtol=0, atol=1e-12 * m)
         np.testing.assert_allclose(
             op.column_norms(), np.linalg.norm(A, axis=0), rtol=0, atol=1e-12 * math.sqrt(m)
         )
@@ -442,23 +444,24 @@ class TestHartleyProjection:
         for current in (op, dataclasses.replace(op, rows=other)):
             A = dense_form(current)
             for j in range(d):
+                signed = current.signs[j] * current.signs * current.gram_column(j)
                 np.testing.assert_allclose(
-                    current.gram_column(j), A.T @ A[:, j], rtol=0, atol=1e-12 * current.shape[0]
+                    signed, A.T @ A[:, j], rtol=0, atol=1e-12 * current.shape[0]
                 )
 
     @given(projections())
     @example(dataclasses.replace(ch.measurement_matrix(8, 2, 0), rows=np.array([3, 7])))
     @settings(max_examples=100, deadline=None)
     def test_gram_column_into_a_buffer(self, op):
-        # the sign products are exact, so their order leaves every bit,
+        # the column of B = S H is one subtraction of two spectrum slices,
         # the sign of a zero included; d = 8 puts exact zeros in the Gram.
-        # A copy with flipped signs must build its own cached sign pair.
+        # It does not read D, so a copy with flipped signs gives the same bits.
         d = op.shape[1]
         buf = np.empty(d)
         for current in (op, dataclasses.replace(op, signs=-op.signs)):
             re, im = current._spectrum
             for j in range(d):
-                want = current.signs[j] * current.signs * (re[d - j : 2 * d - j] - im[j : j + d])
+                want = re[d - j : 2 * d - j] - im[j : j + d]
                 assert current.gram_column(j, out=buf) is buf
                 assert_same_bits(buf, want)
                 assert_same_bits(current.gram_column(j), want)
@@ -784,6 +787,28 @@ class TestOmp:
             # columns that do not improve the fit
             assert_same_support(got, want, 1e-9 * np.max(np.abs(want)))
 
+    def test_a_pick_leaves_the_search(self):
+        # column 0's pick leaves its correlation at 1 - (2 / sqrt 2)(1 / sqrt 2)
+        # = 2.2e-16, which scores above column 1's 1e-16: only the pick's
+        # exclusion lets the search reach column 1
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        y = np.array([1.0, 0.0, 1e-16])
+        got = ch.omp_recover(A, y, 2)
+        assert_same_bits(got, omp_reference(A, y, 2))
+        assert got[1] == 1e-16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurements_give_a_non_finite_estimate(self, bad):
+        # NaN correlations can repeat a pick, which stops the search early,
+        # but the estimate stays non-finite, so the round's parameter check
+        # still stops the run
+        op = ch.measurement_matrix(1000, 200, 3)
+        y = np.random.default_rng(0).standard_normal(200)
+        y[5] = bad
+        with np.errstate(invalid="ignore"):
+            got = ch.omp_recover(op, y, 50)
+        assert not np.all(np.isfinite(got))
+
     @pytest.mark.parametrize("hartley", [False, True])
     def test_noiseless_one_sparse_stops_at_the_true_support(self, hartley):
         # ||y||^2 - beta^2 keeps a rounding-size remainder above OMP_TOL^2, so
@@ -867,6 +892,19 @@ class TestOmp:
         atol = 1e-9 * np.max(np.abs(want))
         assert_same_support(got, want, atol)
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_bits_as_the_reference_at_the_benchmark_shape(self, seed):
+        # cs-recovery's draw: d = 1000, m = 200, flat +-1 entries on a budget
+        # of 40 to 70 coordinates plus 0.01 noise
+        d, m = 1000, 200
+        rng = np.random.default_rng(seed)
+        budget = int(rng.integers(40, 71))
+        op = ch.measurement_matrix(d, m, seed)
+        x = np.zeros(d)
+        x[rng.choice(d, budget, replace=False)] = 1.0 - 2.0 * rng.integers(0, 2, budget)
+        y = op @ x + 0.01 * rng.standard_normal(m)
+        assert_same_bits(ch.omp_recover(op, y, budget), omp_reference(op, y, budget))
 
 
 class TestMetamorphic:
