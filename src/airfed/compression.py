@@ -1,9 +1,9 @@
 """Gradient compression codecs: sparsification, quantization, error feedback,
 and a deep-gradient-compression style pipeline, with exact bit accounting.
 
-Payload cost model: a sparse payload of n entries over a length-d vector costs
-n * (ceil(log2 d) + bits_per_symbol) + 64 header bits. A dense payload
-(no sparsifier) needs no index bits: d * bits_per_symbol + 64.
+Payload cost model, one rule for every payload: n entries of a length-d vector
+cost n * (bits_per_symbol + index width) + 64 header bits, where the index width
+is `index_bits(d)` = ceil(log2 d), or 0 for a dense payload (no sparsifier).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ _SYMBOL_BITS = {
 
 
 def index_bits(d: int) -> int:
-    """Bits needed to address one coordinate of a length-d vector."""
-    return math.ceil(math.log2(d)) if d > 1 else 0
+    """ceil(log2 d), exact in integers: the bits that address one of d entries."""
+    return (d - 1).bit_length()
 
 
 @dataclass
@@ -99,8 +99,8 @@ class CodecSpec:
 
     @property
     def codec_id(self) -> str:
-        """The codec's stages, named by the values that run: a top-k codec
-        with a warm-up names its fractions, not the unused keep_fraction."""
+        """The codec's stages, named by the values that run: momentum only under
+        error feedback, a warm-up's fractions in place of the unused keep_fraction."""
         parts = []
         if self.sparsifier == SPARSIFIER_THRESHOLD:
             parts.append(f"thr{self.threshold:g}")
@@ -112,8 +112,8 @@ class CodecSpec:
         parts.append(self.quantizer)
         if self.error_feedback:
             parts.append("ef")
-        if self.momentum:
-            parts.append(f"m{self.momentum:g}")
+            if self.momentum:
+                parts.append(f"m{self.momentum:g}")
         if self.clip_norm is not None:
             parts.append(f"clip{self.clip_norm:g}")
         return "|".join(parts)
@@ -129,13 +129,6 @@ class EncoderState:
     @classmethod
     def zeros(cls, d: int) -> "EncoderState":
         return cls(np.zeros(d), np.zeros(d))
-
-
-def _payload_bits(d: int, n_kept: int, quantizer: str, implicit_indices: bool) -> int:
-    sym = _SYMBOL_BITS[quantizer]
-    if implicit_indices:
-        return d * sym + HEADER_BITS
-    return n_kept * (index_bits(d) + sym) + HEADER_BITS
 
 
 @functools.cache
@@ -223,15 +216,10 @@ def encode(
     epoch: int = 0,
 ) -> CompressedGradient:
     """Full codec pipeline: clip, momentum-corrected accumulation, sparsify,
-    mask the accumulators at transmitted coordinates, quantize."""
+    mask the accumulators at transmitted coordinates, quantize. One `dense`
+    flag picks the indices, the copy and the index width of the cost rule."""
     g = np.asarray(g, dtype=np.float64)
     d = g.size
-    if spec.error_feedback:
-        if state is None:
-            raise ConfigurationError("error feedback requires encoder state")
-        if state.residual.size != d or state.momentum.size != d:
-            raise ConfigurationError("encoder state length must match gradient")
-
     work = g
     if spec.clip_norm is not None:
         nrm = float(np.linalg.norm(work))
@@ -239,6 +227,10 @@ def encode(
             work = work * (spec.clip_norm / nrm)
 
     if spec.error_feedback:
+        if state is None:
+            raise ConfigurationError("error feedback requires encoder state")
+        if state.residual.size != d or state.momentum.size != d:
+            raise ConfigurationError("encoder state length must match gradient")
         state.momentum *= spec.momentum
         state.momentum += work
         state.residual += state.momentum
@@ -246,18 +238,19 @@ def encode(
     else:
         v = work
 
-    if spec.sparsifier == SPARSIFIER_THRESHOLD:
+    dense = spec.sparsifier == SPARSIFIER_NONE
+    if dense:
+        idx = _every_index(d)
+    elif spec.sparsifier == SPARSIFIER_THRESHOLD:
         idx = np.flatnonzero(np.abs(v) > spec.threshold)
-    elif spec.sparsifier == SPARSIFIER_TOPK:
+    else:
         rho = spec.keep_fraction
         if spec.warmup is not None:
             rho = spec.warmup[min(epoch, len(spec.warmup) - 1)]
         idx = topk_indices(v, rho)
-    else:
-        idx = _every_index(d)
 
     # a copy either way: masking v below leaves it intact
-    kept = v.copy() if spec.sparsifier == SPARSIFIER_NONE else v[idx]
+    kept = v.copy() if dense else v[idx]
     if spec.error_feedback:
         state.momentum[idx] = 0.0
         state.residual[idx] = 0.0
@@ -267,14 +260,9 @@ def encode(
     else:
         values = kept
 
-    return CompressedGradient(
-        indices=idx,
-        values=values,
-        d=d,
-        payload_bits=_payload_bits(
-            d, idx.size, spec.quantizer, spec.sparsifier == SPARSIFIER_NONE
-        ),
-    )
+    index_width = 0 if dense else index_bits(d)
+    payload_bits = idx.size * (_SYMBOL_BITS[spec.quantizer] + index_width) + HEADER_BITS
+    return CompressedGradient(indices=idx, values=values, d=d, payload_bits=payload_bits)
 
 
 def compression_ratio(c: CompressedGradient) -> float:

@@ -35,8 +35,8 @@ class ScenarioError(ConfigurationError):
     """Scenario file could not be parsed or validated."""
 
 
-# A run keeps per-client state and streams; the bound also keeps the parser
-# from building a size list of billions of entries for a mistyped count.
+# A run keeps per-client state and streams: this bounds `clients`, before the
+# parser builds its size list, and the length of a `sizes` list.
 MAX_CLIENTS = 10**6
 
 
@@ -152,6 +152,7 @@ _RELEVANT_ONLY_WITH = {
     # logistic labels are Bernoulli draws, which read no noise
     "label_noise": _when("model", models.LINEAR, models.MLP),
     "client_size": ("no sizes list", lambda v: v["sizes"] is None),
+    "clients": ("no sizes list", lambda v: v["sizes"] is None),
     "tau": _when("sparsifier", comp_mod.SPARSIFIER_THRESHOLD),
     "measurements": _when("scheme", ch_mod.CS_OVER_THE_AIR),
     "rho": _when("sparsifier", comp_mod.SPARSIFIER_TOPK),
@@ -207,8 +208,8 @@ def parse_scenario(text: str, seed: int | None = None) -> Scenario:
     model_spec = _build("model", models.ModelSpec, kind, v["features"], hidden, v["l2"])
 
     sizes = v["sizes"] or (v["client_size"],) * v["clients"]
-    if len(sizes) != v["clients"]:
-        raise _invalid("sizes", "must list one size per client")
+    if len(sizes) > MAX_CLIENTS:
+        raise _invalid("sizes", f"must list at most {MAX_CLIENTS} sizes")
     partition = _build(
         "partition",
         models.PartitionSpec,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -78,6 +79,23 @@ quantizer_inputs = hnp.arrays(
         st.floats(-1e300, 1e300, allow_nan=False),
     ),
 )
+
+
+# the width of one payload symbol, per quantizer
+SYMBOL_BITS = {
+    C.QUANTIZER_NONE: 64,
+    C.QUANTIZER_BINARY: 1,
+    C.QUANTIZER_THREE: 2,
+    C.QUANTIZER_FOUR: 2,
+}
+
+
+def oracle_index_width(d):
+    """The least w with 2^w >= d, by counting."""
+    w = 0
+    while 2**w < d:
+        w += 1
+    return w
 
 
 def threshold(g, tau):
@@ -332,8 +350,11 @@ class TestEncode:
     def test_payload_indices_sorted_in_range_values_aligned(self, rounds, d, spec):
         """The invariant every decoder relies on, over a few rounds of one
         encoder state: int64 indices strictly increasing within [0, d),
-        float64 values of the same length. The input is never written."""
+        float64 values of the same length. The input is never written. The
+        payload costs (symbol bits + index width) per entry plus the header,
+        with no index bits when the codec is dense."""
         state = C.EncoderState.zeros(d)
+        width = 0 if spec.sparsifier == C.SPARSIFIER_NONE else oracle_index_width(d)
         for epoch, g in enumerate(rounds):
             g.flags.writeable = False
             before = g.copy()
@@ -344,6 +365,35 @@ class TestEncode:
             assert np.all(np.diff(c.indices) > 0)
             assert c.indices.size == 0 or (c.indices[0] >= 0 and c.indices[-1] < d)
             assert c.values.dtype == np.float64 and c.values.shape == c.indices.shape
+            assert c.payload_bits == c.indices.size * (SYMBOL_BITS[spec.quantizer] + width) + 64
+
+    def test_index_bits_exact(self):
+        # the float ceil(log2 d) is exact up to 2^49 and one bit short above it
+        for d in range(1, 10**5 + 1):
+            assert C.index_bits(d) == math.ceil(math.log2(d))
+        for k in range(63):
+            assert C.index_bits(2**k) == k
+            assert C.index_bits(2**k + 1) == k + 1
+
+    def test_a_mismatched_state_is_not_written(self):
+        state = C.EncoderState(np.ones(4), np.ones(3))
+        spec = C.CodecSpec(error_feedback=True, momentum=0.5)
+        with pytest.raises(ConfigurationError, match="encoder state length must match"):
+            C.encode(np.ones(4), spec, state)
+        np.testing.assert_array_equal(state.momentum, np.ones(4))
+        np.testing.assert_array_equal(state.residual, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (C.CodecSpec(momentum=0.9), "dense|none"),
+            (C.CodecSpec(error_feedback=True, momentum=0.9), "dense|none|ef|m0.9"),
+            (C.CodecSpec(error_feedback=True), "dense|none|ef"),
+        ],
+    )
+    def test_codec_id_names_momentum_only_under_error_feedback(self, spec, want):
+        # encode applies momentum only to the error-feedback accumulators
+        assert spec.codec_id == want
 
 
 def accumulate(payloads, sizes):

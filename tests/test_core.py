@@ -694,7 +694,7 @@ class TestOverTheAirTargets:
 
         monkeypatch.setattr(ch, "solve_aggregation_weights", spy)
         sc = parse_scenario(
-            "seed = 9\nrounds = 8\nfeatures = 4\nclients = 5\nsizes = 3, 8, 5, 12, 7\n"
+            "seed = 9\nrounds = 8\nfeatures = 4\nsizes = 3, 8, 5, 12, 7\n"
             "scheme = over-the-air\nantennas = 3\npower_cap = 1e6\n"
             "delay_mean = 1\ndelay_jitter = 1\ndeadline = 1\n"
         )

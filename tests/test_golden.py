@@ -17,13 +17,14 @@ change that must keep every output byte is checked against its parent with
     PYTHONPATH=src python3 tests/test_golden.py --against REV
 
 which runs every case at seeds 7 and 11 with the parent's src and with this
-tree, at one BLAS thread, and prints the cells that differ at all: per
-moved column the number of moved cells, the first one, and for a float
-column the largest relative change, then the line count of src/airfed
-(`wc -l`) before and after, and exits 1 when any column moved, so a
-script can stop on it. REV is a directory that holds a checkout of the
-parent, or else a git revision such as HEAD~1, whose src is extracted (`git
-archive`) into a temporary directory.
+tree, at one BLAS thread, each side on its own copy of the case file (the
+parent's, when its checkout has one), and prints the cells that differ at
+all: per moved column the number of moved cells, the first one, and for a
+float column the largest relative change, then the line count of src/airfed
+(`wc -l`) before and after, and exits 1 when any column moved, so a script
+can stop on it. REV is a directory that holds a checkout of the parent, or
+else a git revision such as HEAD~1, whose src and case directories are
+extracted (`git archive`) into a temporary directory.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ CASES = {
     "channel_select": ROOT / "tests" / "scenarios" / "channel_select.cfg",
     "mlp_period": ROOT / "tests" / "scenarios" / "mlp_period.cfg",
 }
+# the directories that hold the case files, as `git archive` paths
+CASE_DIRS = ("perfbench/workloads", "scenarios", "tests/scenarios")
 CSV_FILES = ("rounds.csv", "budget.csv", "events.csv")
 FLOAT_CELLS = {
     ("rounds.csv", "global_loss"),
@@ -142,19 +145,19 @@ def test_outputs_match_golden(name):
 
 
 def outputs_at_blas_threads(
-    name: str, threads: int, seed: int = SEED, src: Path = ROOT / "src"
+    case: Path, threads: int, seed: int = SEED, src: Path = ROOT / "src"
 ) -> dict:
-    """`outputs` of one case in a fresh process whose BLAS runs `threads`
-    threads (the count is fixed when numpy loads), importing airfed from
-    `src`."""
+    """`outputs` of the case file `case` in a fresh process whose BLAS runs
+    `threads` threads (the count is fixed when numpy loads), importing
+    airfed from `src`."""
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import test_golden as g; "
-        "print(json.dumps(g.outputs(g.CASES[sys.argv[2]], int(sys.argv[3]))))"
+        "print(json.dumps(g.outputs(sys.argv[2], int(sys.argv[3]))))"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(GOLDEN_DIR.parent), name, str(seed)],
+        [sys.executable, "-c", script, str(GOLDEN_DIR.parent), str(case), str(seed)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -167,7 +170,7 @@ def test_reruns_match_across_blas_thread_counts():
     # where local SGD steps with the Gram matrix X X^T (digital-dgc)
     loss = {("rounds.csv", "global_loss"), ("summary.txt", "final_loss")}
     for name in ("cs-recovery", "digital-dgc"):
-        one, two = (outputs_at_blas_threads(name, n) for n in (1, 2))
+        one, two = (outputs_at_blas_threads(CASES[name], n) for n in (1, 2))
         assert moved(one, two) == []
         for file, columns in one.items():
             for column, cells in columns.items():
@@ -233,15 +236,20 @@ def regen(names: list[str]) -> None:
 
 def against(checkout: Path, seeds: tuple[int, ...] = (SEED, 11)) -> int:
     """Run every case at each seed with `checkout`/src and with this tree,
-    each in its own process at one BLAS thread, list per case and seed the
-    cells that differ at all (`moved` at rtol 0), then the line count of
-    each side's src/airfed, and return the number of moved columns over all
+    each in its own process at one BLAS thread and on its own case file
+    (`checkout`'s copy when it has one), list per case and seed the cells
+    that differ at all (`moved` at rtol 0), then the line count of each
+    side's src/airfed, and return the number of moved columns over all
     cases and seeds."""
     total = 0
-    old_src, new_src = checkout.resolve() / "src", ROOT / "src"
-    for name in sorted(CASES):
+    checkout = checkout.resolve()
+    old_src, new_src = checkout / "src", ROOT / "src"
+    for name, case in sorted(CASES.items()):
+        old_case = checkout / case.relative_to(ROOT)
+        old_case = old_case if old_case.is_file() else case
         for seed in seeds:
-            old, new = (outputs_at_blas_threads(name, 1, seed, src) for src in (old_src, new_src))
+            old = outputs_at_blas_threads(old_case, 1, seed, old_src)
+            new = outputs_at_blas_threads(case, 1, seed, new_src)
             changes = moved(old, new, rtol=0.0)
             print(f"{name} seed {seed}: {len(changes)} columns moved")
             for line in changes:
@@ -259,10 +267,10 @@ def src_lines(src: Path) -> int:
 
 @contextmanager
 def revision_checkout(revision: str):
-    """A temporary directory that holds `src/` as committed at the git
-    revision, removed on exit."""
+    """A temporary directory that holds `src/` and the case directories
+    (`CASE_DIRS`) as committed at the git revision, removed on exit."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src", *CASE_DIRS],
         capture_output=True, check=True,
     ).stdout
     with tempfile.TemporaryDirectory() as tmp:
@@ -302,6 +310,28 @@ def test_against_exits_1_when_a_column_moved(monkeypatch, capsys):
     ) + f"src/airfed: {lines} -> {lines} lines\n"
 
 
+def test_against_runs_each_side_on_its_own_case_file(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "CASES", {n: CASES[n] for n in ("baseline", "mlp_period")})
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "baseline.cfg").write_text("seed = 1\n")
+    runs = []
+
+    def record(case, threads, seed, src):
+        runs.append((Path(case), src))
+        return {}
+
+    monkeypatch.setattr(module, "outputs_at_blas_threads", record)
+    assert against(tmp_path, seeds=(SEED,)) == 0
+    # the checkout's own baseline file; it has no mlp_period file, so the tree's
+    assert runs == [
+        (tmp_path.resolve() / "scenarios" / "baseline.cfg", tmp_path.resolve() / "src"),
+        (CASES["baseline"], ROOT / "src"),
+        (CASES["mlp_period"], tmp_path.resolve() / "src"),
+        (CASES["mlp_period"], ROOT / "src"),
+    ]
+
+
 @pytest.mark.skipif(
     shutil.which("git") is None or not (ROOT / ".git").exists(),
     reason="needs git and the repository's history",
@@ -318,11 +348,13 @@ def test_against_a_revision_runs_its_committed_src(monkeypatch):
     against_revision("HEAD")
     [(checkout, files)] = seen
     committed = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", "HEAD", "src"],
+        ["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", "HEAD", "src", *CASE_DIRS],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert sorted(files) == committed and "src/airfed/channel.py" in files
-    for name in ("src/airfed/channel.py", "src/airfed/models.py"):
+    assert sorted(files) == sorted(committed) and "src/airfed/channel.py" in files
+    for name in (
+        "src/airfed/channel.py", "src/airfed/models.py", "tests/scenarios/mlp_period.cfg"
+    ):
         shown = subprocess.run(
             ["git", "-C", str(ROOT), "show", f"HEAD:{name}"], capture_output=True, check=True
         ).stdout

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airfed import cli, core, models
-from airfed.scenario import _KEYS, ScenarioError, parse_scenario
+from airfed.scenario import MAX_CLIENTS, _KEYS, ScenarioError, parse_scenario
 
 # values a scenario key may take: defaults, keywords, numbers of every kind
 # (nan and inf included) and arbitrary text
@@ -72,8 +72,15 @@ class TestParseScenario:
             parse_scenario("seed = 1\nseed = 2")
 
     def test_sizes_must_match_clients(self):
-        with pytest.raises(ScenarioError, match="`sizes`"):
-            parse_scenario("clients = 3\nsizes = 10,20")
+        # a sizes list states the client count, so `clients` next to it is
+        # rejected, whether or not it matches the list's length
+        for clients in (2, 3):
+            with pytest.raises(ScenarioError, match="`clients`: only applies with no sizes"):
+                parse_scenario(f"clients = {clients}\nsizes = 10,20")
+
+    def test_sizes_list_states_the_client_count(self):
+        sc = parse_scenario("sizes = 4,5,6")
+        assert sc.partition.sizes == [4, 5, 6]
 
     def test_weights_payload_rejected(self):
         # clients upload only the pseudo-gradient
@@ -151,7 +158,7 @@ class TestParseScenario:
         [
             ("error_feedback = true\nmomentum = 1", "momentum must be in"),
             ("sparsifier = topk\nwarmup = 0.5,2", "warmup fractions must be in"),
-            ("clients = 2\nsizes = 3,0", "`sizes`: every size must be >= 1"),
+            ("sizes = 3,0", "`sizes`: every size must be >= 1"),
             ("scheme = cs-over-the-air", "`measurements`: required for cs-over-the-air"),
             ("rounds = 3\nperiod = 5", "`period`: must be <= rounds"),
         ],
@@ -186,6 +193,10 @@ class TestParseScenario:
     def test_client_count_bounded(self):
         with pytest.raises(ScenarioError, match="`clients`"):
             parse_scenario("clients = 10000000000")
+
+    def test_sizes_list_length_bounded(self):
+        with pytest.raises(ScenarioError, match=f"`sizes`: must list at most {MAX_CLIENTS}"):
+            parse_scenario("sizes = " + ",".join(["1"] * (MAX_CLIENTS + 1)))
 
     @given(st.text())
     @settings(max_examples=200, deadline=None)
@@ -594,7 +605,7 @@ class TestCompareCommand:
         [
             ("mu = 0.1\n", ""),
             ("mu = 0.1", "mu = 0.10"),
-            ("client_size = 10", "sizes = 10,10,10,10,10"),
+            ("clients = 5\nclient_size = 10", "sizes = 10,10,10,10,10"),
         ],
     )
     def test_equal_problems_spelled_differently_accepted(self, tmp_path, line, spelling):
