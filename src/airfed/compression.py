@@ -1,5 +1,6 @@
 """Gradient compression codecs: sparsification, quantization, error feedback,
 and a deep-gradient-compression style pipeline, with exact bit accounting.
+`encode` selects a payload; `commit` takes what it sent out of the encoder state.
 
 Payload cost model, one rule for every payload: n entries of a length-d vector
 cost n * (bits_per_symbol + index width) + 64 header bits, where the index width
@@ -216,8 +217,8 @@ def encode(
     epoch: int = 0,
 ) -> CompressedGradient:
     """Full codec pipeline: clip, momentum-corrected accumulation, sparsify,
-    mask the accumulators at transmitted coordinates, quantize. One `dense`
-    flag picks the indices, the copy and the index width of the cost rule."""
+    quantize. The accumulators keep the sent coordinates until `commit`. One
+    `dense` flag picks the indices, the copy and the index width of the cost rule."""
     g = np.asarray(g, dtype=np.float64)
     d = g.size
     work = g
@@ -249,11 +250,8 @@ def encode(
             rho = spec.warmup[min(epoch, len(spec.warmup) - 1)]
         idx = topk_indices(v, rho)
 
-    # a copy either way: masking v below leaves it intact
+    # a copy either way: v may be the residual, which `commit` masks
     kept = v.copy() if dense else v[idx]
-    if spec.error_feedback:
-        state.momentum[idx] = 0.0
-        state.residual[idx] = 0.0
 
     if spec.quantizer != QUANTIZER_NONE and kept.size:
         values = quantize(kept, spec.quantizer)
@@ -263,6 +261,12 @@ def encode(
     index_width = 0 if dense else index_bits(d)
     payload_bits = idx.size * (_SYMBOL_BITS[spec.quantizer] + index_width) + HEADER_BITS
     return CompressedGradient(indices=idx, values=values, d=d, payload_bits=payload_bits)
+
+
+def commit(state: EncoderState, payload: CompressedGradient) -> None:
+    """Zero the client's momentum and residual where `payload` sent them."""
+    state.momentum[payload.indices] = 0.0
+    state.residual[payload.indices] = 0.0
 
 
 def compression_ratio(c: CompressedGradient) -> float:

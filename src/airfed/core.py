@@ -275,6 +275,8 @@ def run_round(
         else:
             raw = np.zeros_like(server.params)
         payload = comp_mod.encode(raw, cfg.codec, c.encoder, epoch=t - 1)
+        if cfg.codec.error_feedback:
+            comp_mod.commit(c.encoder, payload)
         if cid in sending:
             entries.append(ch_mod.TransmitEntry(cid, payload, raw, c.dataset.size))
     if not survivors:

@@ -161,11 +161,13 @@ _RELEVANT_ONLY_WITH = {
     "sigma": _when("scheme", *_ANALOG),
     "power_cap": _when("scheme", *_ANALOG),
     "antennas": (
-        "scheme = over-the-air or cs-over-the-air, or selection = channel",
-        lambda v: v["scheme"] in _ANALOG or v["selection"] == core.SELECT_CHANNEL,
+        "scheme = over-the-air or cs-over-the-air, or selection = channel and participation < 1",
+        lambda v: v["scheme"] in _ANALOG
+        or (v["selection"] == core.SELECT_CHANNEL and v["participation"] < 1),
     ),
     "delay_mean": ("a deadline", lambda v: v["deadline"] is not None),
     "delay_jitter": ("a deadline", lambda v: v["deadline"] is not None),
+    "selection": ("participation < 1", lambda v: v["participation"] < 1),
 }
 
 

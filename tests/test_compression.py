@@ -243,6 +243,80 @@ class TestQuantize:
         assert not np.any((v < 0) & (decoded > 0))
 
 
+# a few rounds of one encoder state: gradients of length 40, of which the
+# first d are encoded, and a codec of every kind
+encoder_runs = (
+    st.lists(
+        hnp.arrays(np.float64, 40, elements=tie_prone_finite | st.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 40),
+    st.builds(
+        C.CodecSpec,
+        sparsifier=st.sampled_from(C.SPARSIFIERS),
+        threshold=st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10),
+        keep_fraction=st.just(1.0) | st.floats(0, 1, exclude_min=True),
+        quantizer=st.sampled_from(C.QUANTIZERS),
+        error_feedback=st.booleans(),
+        momentum=st.just(0.0) | st.floats(0, 0.99),
+        clip_norm=st.none() | st.floats(1e-3, 1e3),
+        warmup=st.none()
+        | st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=3).map(tuple),
+    ),
+)
+
+
+def masking_encode(g, spec, state=None, epoch=0):
+    """Reference: the codec as one step that also takes the sent coordinates
+    out of the accumulators, as `encode` did before `commit` existed."""
+    g = np.asarray(g, dtype=np.float64)
+    d = g.size
+    work = g
+    if spec.clip_norm is not None:
+        nrm = float(np.linalg.norm(work))
+        if nrm > spec.clip_norm:
+            work = work * (spec.clip_norm / nrm)
+
+    if spec.error_feedback:
+        if state is None:
+            raise ConfigurationError("error feedback requires encoder state")
+        if state.residual.size != d or state.momentum.size != d:
+            raise ConfigurationError("encoder state length must match gradient")
+        state.momentum *= spec.momentum
+        state.momentum += work
+        state.residual += state.momentum
+        v = state.residual
+    else:
+        v = work
+
+    dense = spec.sparsifier == C.SPARSIFIER_NONE
+    if dense:
+        idx = C._every_index(d)
+    elif spec.sparsifier == C.SPARSIFIER_THRESHOLD:
+        idx = np.flatnonzero(np.abs(v) > spec.threshold)
+    else:
+        rho = spec.keep_fraction
+        if spec.warmup is not None:
+            rho = spec.warmup[min(epoch, len(spec.warmup) - 1)]
+        idx = C.topk_indices(v, rho)
+
+    # a copy either way: masking v below leaves it intact
+    kept = v.copy() if dense else v[idx]
+    if spec.error_feedback:
+        state.momentum[idx] = 0.0
+        state.residual[idx] = 0.0
+
+    if spec.quantizer != C.QUANTIZER_NONE and kept.size:
+        values = C.quantize(kept, spec.quantizer)
+    else:
+        values = kept
+
+    index_width = 0 if dense else C.index_bits(d)
+    payload_bits = idx.size * (C._SYMBOL_BITS[spec.quantizer] + index_width) + C.HEADER_BITS
+    return C.CompressedGradient(indices=idx, values=values, d=d, payload_bits=payload_bits)
+
+
 class TestEncode:
     def test_noop_roundtrip(self):
         g = np.random.default_rng(1).standard_normal(50)
@@ -266,7 +340,9 @@ class TestEncode:
         total = np.zeros(d)
         rounds = 100
         for t in range(rounds):
-            total += C.encode(g_star, spec, state, epoch=t).decode()
+            c = C.encode(g_star, spec, state, epoch=t)
+            C.commit(state, c)
+            total += c.decode()
         # telescoping: sum of decodes = rounds * g_star - leftover residual
         np.testing.assert_allclose(total + state.residual, rounds * g_star, rtol=1e-10)
         assert np.linalg.norm(rounds * g_star - total) <= np.linalg.norm(
@@ -287,6 +363,7 @@ class TestEncode:
         for t in range(20):
             g = rng.standard_normal(d)
             c = C.encode(g, spec, state, epoch=t)
+            C.commit(state, c)
             # oracle: residual carry + top-k on the corrected vector
             v = residual_ref + g
             idx = C.topk_indices(v, 0.1)
@@ -326,26 +403,7 @@ class TestEncode:
         np.testing.assert_array_equal(a.values, b.values)
         assert a.payload_bits == b.payload_bits
 
-    @given(
-        st.lists(
-            hnp.arrays(np.float64, 40, elements=tie_prone_finite | st.floats(-1e6, 1e6)),
-            min_size=1,
-            max_size=3,
-        ),
-        st.integers(1, 40),
-        st.builds(
-            C.CodecSpec,
-            sparsifier=st.sampled_from(C.SPARSIFIERS),
-            threshold=st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 10),
-            keep_fraction=st.just(1.0) | st.floats(0, 1, exclude_min=True),
-            quantizer=st.sampled_from(C.QUANTIZERS),
-            error_feedback=st.booleans(),
-            momentum=st.just(0.0) | st.floats(0, 0.99),
-            clip_norm=st.none() | st.floats(1e-3, 1e3),
-            warmup=st.none()
-            | st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=3).map(tuple),
-        ),
-    )
+    @given(*encoder_runs)
     @settings(max_examples=300, deadline=None)
     def test_payload_indices_sorted_in_range_values_aligned(self, rounds, d, spec):
         """The invariant every decoder relies on, over a few rounds of one
@@ -366,6 +424,25 @@ class TestEncode:
             assert c.indices.size == 0 or (c.indices[0] >= 0 and c.indices[-1] < d)
             assert c.values.dtype == np.float64 and c.values.shape == c.indices.shape
             assert c.payload_bits == c.indices.size * (SYMBOL_BITS[spec.quantizer] + width) + 64
+
+    @given(*encoder_runs)
+    @settings(max_examples=300, deadline=None)
+    def test_encode_then_commit_equals_the_masking_codec(self, rounds, d, spec):
+        """`encode`, then `commit` under error feedback as the round calls
+        it, gives the one-step codec's payloads and accumulators bit for bit,
+        round after round of one state."""
+        state, ref_state = C.EncoderState.zeros(d), C.EncoderState.zeros(d)
+        for epoch, g in enumerate(rounds):
+            g.flags.writeable = False
+            c = C.encode(g[:d], spec, state, epoch=epoch)
+            if spec.error_feedback:
+                C.commit(state, c)
+            want = masking_encode(g[:d], spec, ref_state, epoch=epoch)
+            assert c.indices.tobytes() == want.indices.tobytes()
+            assert c.values.tobytes() == want.values.tobytes()
+            assert c.payload_bits == want.payload_bits
+            assert state.momentum.tobytes() == ref_state.momentum.tobytes()
+            assert state.residual.tobytes() == ref_state.residual.tobytes()
 
     def test_index_bits_exact(self):
         # the float ceil(log2 d) is exact up to 2^49 and one bit short above it

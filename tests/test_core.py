@@ -274,11 +274,12 @@ def run_scenario(text):
 
 def traced_rounds(text):
     """Run a scenario and return it with one dict per round: the record, the
-    ids that trained and that encoded in it, and per-client snapshots of the
-    encoder accumulators, generator state (None for a client without a
-    stream: a full batch draws none) and local parameters before and after
-    it."""
-    train, encode, run_round = models.local_updates, C.encode, core.run_round
+    ids that trained, that encoded and that committed in it, and per-client
+    snapshots of the encoder accumulators, generator state (None for a client
+    without a stream: a full batch draws none) and local parameters before
+    and after it."""
+    train, encode, commit = models.local_updates, C.encode, C.commit
+    run_round = core.run_round
     rounds = []
     current = {}  # client id per dataset and per encoder, and the round's calls
 
@@ -301,12 +302,17 @@ def traced_rounds(text):
         current["encoded"].append(current["by_encoder"][id(state)])
         return encode(raw, codec, state, **kwargs)
 
+    def spy_commit(state, payload):
+        current["committed"].append(current["by_encoder"][id(state)])
+        return commit(state, payload)
+
     def spy_round(server, clients, spec, train_cfg, cfg, streams):
         current.update(
             by_data={id(c.dataset): k for k, c in enumerate(clients)},
             by_encoder={id(c.encoder): k for k, c in enumerate(clients)},
             trained=[],
             encoded=[],
+            committed=[],
         )
         before = snapshot(clients)
         rec = run_round(server, clients, spec, train_cfg, cfg, streams)
@@ -315,6 +321,7 @@ def traced_rounds(text):
                 rec=rec,
                 trained=current["trained"],
                 encoded=current["encoded"],
+                committed=current["committed"],
                 before=before,
                 after=snapshot(clients),
             )
@@ -325,6 +332,7 @@ def traced_rounds(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "local_updates", spy_train)
         mp.setattr(C, "encode", spy_encode)
+        mp.setattr(C, "commit", spy_commit)
         mp.setattr(core, "run_round", spy_round)
         core.run_training(sc)
     return sc, rounds
@@ -680,6 +688,26 @@ class TestSchedulingBeforeCompute:
             for r, late in zip(rounds, missed):
                 assert r["trained"] == r["encoded"] == [0, 1, 2, 3, 4]
                 assert late.isdisjoint(r["rec"].participants)
+
+    def test_every_client_that_encodes_commits_under_error_feedback(self):
+        # rounds 2 and 3 each have a deadline miss and an exclusion; a
+        # straggler gives up what it encoded although nothing delivers it
+        text = (
+            "seed = 1\nrounds = 3\nmodel = linear\nfeatures = 3\nclients = 6\n"
+            "client_size = 4\ndeadline = 1.0\ndelay_mean = 1.0\ndelay_jitter = 0.5\n"
+            "scheme = over-the-air\nantennas = 2\npower_cap = 0.5\n"
+            "sparsifier = topk\nrho = 0.5\nerror_feedback = {}\n"
+        )
+        _, rounds = traced_rounds(text.format("true"))
+        late_and_left_out = 0
+        for r in rounds:
+            assert r["committed"] == r["encoded"]
+            late, excluded = named(r["rec"], "deadline-miss"), named(r["rec"], "excluded")
+            assert excluded.isdisjoint(r["committed"])
+            late_and_left_out += bool(late & set(r["committed"]) and excluded)
+        assert late_and_left_out == 2
+        _, rounds = traced_rounds(text.format("false"))
+        assert all(r["encoded"] and r["committed"] == [] for r in rounds)
 
 
 class TestOverTheAirTargets:

@@ -147,6 +147,9 @@ class TestParseScenario:
             ("antennas = 4", "antennas"),
             ("delay_mean = 2", "delay_mean"),
             ("deadline = none\ndelay_jitter = 1", "delay_jitter"),
+            # at full participation every client is kept whatever the ranking
+            ("selection = channel", "selection"),
+            ("participation = 1\nselection = channel", "selection"),
         ],
     )
     def test_irrelevant_key_rejected(self, text, key):
@@ -168,7 +171,7 @@ class TestParseScenario:
             parse_scenario(text)
 
     def test_antennas_apply_to_channel_aware_selection(self):
-        sc = parse_scenario("selection = channel\nantennas = 4")
+        sc = parse_scenario("participation = 0.5\nselection = channel\nantennas = 4")
         assert sc.round_cfg.n_antennas == 4
 
     @pytest.mark.parametrize("key", list(_KEYS))
